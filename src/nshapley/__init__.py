@@ -8,12 +8,9 @@ at the explained point (n = d, the Shapley-GAM). Everything is exact
 up to float64 roundoff; combinatorial coefficients are formed in
 rational arithmetic.
 
-Dimensions are capped at 24 and practical up to roughly 16; the hot
-transforms are numba-compiled with a pure-numpy fallback (set
-``NSHAPLEY_DISABLE_NUMBA=1`` to force the fallback).
+Dimensions are capped at 24 and practical up to roughly 16.
 """
 
-from ._kernels import using_numba
 from .analysis import DegreeReport, DependenceSeries, interaction_degree, partial_dependence
 from .core import (
     InteractionIndex,
@@ -83,7 +80,6 @@ from .valuefn import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "using_numba",
     "__version__",
     # exact coefficients
     "Rational",

@@ -1,12 +1,7 @@
 """Hot numeric kernels over dense 2**dim subset tables.
 
-Every kernel exists in two flavours: a plain-numpy implementation and a
-numba ``@njit`` one. The active flavour is chosen once at import time;
-set the environment variable ``NSHAPLEY_DISABLE_NUMBA=1`` to force the
-numpy path (or simply uninstall numba). Both flavours of the lattice
-sweeps are bit-identical because they perform the same additions in the
-same per-bit order; the brute-force contribution kernel agrees to
-floating-point roundoff only.
+The lattice sweeps are reproducible byte for byte because they perform
+the same additions in the same per-bit order on every run.
 
 Tables are 1-d contiguous float64 arrays of length ``2**dim`` indexed by
 subset bitmask (bit i set <=> feature i in the subset).
@@ -14,13 +9,9 @@ subset bitmask (bit i set <=> feature i in the subset).
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 __all__ = [
-    "using_numba",
-    "IMPLEMENTATIONS",
     "popcount_table",
     "zeta_subsets",
     "moebius_subsets",
@@ -30,26 +21,6 @@ __all__ = [
 ]
 
 
-def _env_disabled() -> bool:
-    return os.environ.get("NSHAPLEY_DISABLE_NUMBA", "").strip().lower() in {
-        "1",
-        "true",
-        "yes",
-        "on",
-    }
-
-
-if _env_disabled():
-    _numba = None
-else:
-    try:
-        import numba as _numba
-    except ImportError:  # pragma: no cover - exercised via env flag instead
-        _numba = None
-
-using_numba = _numba is not None
-
-
 def popcount_table(dim: int) -> np.ndarray:
     """Bit-count of every mask below 2**dim, as an int64 array."""
     return np.bitwise_count(np.arange(1 << dim, dtype=np.uint32)).astype(np.int64)
@@ -57,11 +28,11 @@ def popcount_table(dim: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Lattice sweeps. out length is 2**dim; the sweep order over bits 0..dim-1 is
-# fixed so results are reproducible across runs, thread counts and flavours.
+# fixed so results are reproducible across runs and thread counts.
 # ---------------------------------------------------------------------------
 
 
-def _zeta_subsets_numpy(values: np.ndarray, dim: int) -> np.ndarray:
+def zeta_subsets(values: np.ndarray, dim: int) -> np.ndarray:
     out = values.copy()
     for i in range(dim):
         view = out.reshape(-1, 2, 1 << i)
@@ -69,7 +40,7 @@ def _zeta_subsets_numpy(values: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
-def _moebius_subsets_numpy(values: np.ndarray, dim: int) -> np.ndarray:
+def moebius_subsets(values: np.ndarray, dim: int) -> np.ndarray:
     out = values.copy()
     for i in range(dim):
         view = out.reshape(-1, 2, 1 << i)
@@ -77,41 +48,11 @@ def _moebius_subsets_numpy(values: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
-def _zeta_supersets_numpy(values: np.ndarray, dim: int) -> np.ndarray:
+def zeta_supersets(values: np.ndarray, dim: int) -> np.ndarray:
     out = values.copy()
     for i in range(dim):
         view = out.reshape(-1, 2, 1 << i)
         view[:, 0, :] += view[:, 1, :]
-    return out
-
-
-def _zeta_subsets_scalar(values, dim):
-    out = values.copy()
-    for i in range(dim):
-        bit = 1 << i
-        for mask in range(out.size):
-            if mask & bit:
-                out[mask] += out[mask ^ bit]
-    return out
-
-
-def _moebius_subsets_scalar(values, dim):
-    out = values.copy()
-    for i in range(dim):
-        bit = 1 << i
-        for mask in range(out.size):
-            if mask & bit:
-                out[mask] -= out[mask ^ bit]
-    return out
-
-
-def _zeta_supersets_scalar(values, dim):
-    out = values.copy()
-    for i in range(dim):
-        bit = 1 << i
-        for mask in range(out.size):
-            if not mask & bit:
-                out[mask] += out[mask | bit]
     return out
 
 
@@ -136,7 +77,7 @@ def _submask_spread(mask: int) -> np.ndarray:
     return bits @ (np.int64(1) << positions)
 
 
-def _delta_weighted_numpy(values: np.ndarray, dim: int, weights: np.ndarray) -> np.ndarray:
+def delta_weighted(values: np.ndarray, dim: int, weights: np.ndarray) -> np.ndarray:
     size = 1 << dim
     full = size - 1
     pc = popcount_table(dim)
@@ -152,34 +93,6 @@ def _delta_weighted_numpy(values: np.ndarray, dim: int, weights: np.ndarray) -> 
     return out
 
 
-def _delta_weighted_scalar(values, dim, weights, pc):
-    size = 1 << dim
-    full = size - 1
-    out = np.zeros(size)
-    for mask in range(1, size):
-        s = pc[mask]
-        comp = full ^ mask
-        acc = 0.0
-        t_mask = comp
-        while True:
-            inner = 0.0
-            l_mask = mask
-            while True:
-                if (s - pc[l_mask]) & 1:
-                    inner -= values[l_mask | t_mask]
-                else:
-                    inner += values[l_mask | t_mask]
-                if l_mask == 0:
-                    break
-                l_mask = (l_mask - 1) & mask
-            acc += weights[s, pc[t_mask]] * inner
-            if t_mask == 0:
-                break
-            t_mask = (t_mask - 1) & comp
-        out[mask] = acc
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Multilinear interpolation on a uniform grid. cols is (n, m) with one column
 # per grid axis; lo/step are per-axis origin and spacing, npts the per-axis
@@ -189,7 +102,7 @@ def _delta_weighted_scalar(values, dim, weights, pc):
 # ---------------------------------------------------------------------------
 
 
-def _interp_multilinear_numpy(cols, lo, step, npts, flat):
+def interp_multilinear(cols, lo, step, npts, flat):
     n, m = cols.shape
     upper = (npts - 1).astype(np.float64)
     t = (cols - lo) / step
@@ -216,104 +129,3 @@ def _interp_multilinear_numpy(cols, lo, step, npts, flat):
         out += weight * flat[idx]
     return out, clamped
 
-
-def _interp_multilinear_scalar(cols, lo, step, npts, flat):
-    n, m = cols.shape
-    strides = np.empty(m, dtype=np.int64)
-    acc = 1
-    for j in range(m - 1, -1, -1):
-        strides[j] = acc
-        acc *= npts[j]
-    out = np.zeros(n)
-    clamped = 0
-    cell = np.empty(m, dtype=np.int64)
-    frac = np.empty(m)
-    for r in range(n):
-        hit = False
-        for j in range(m):
-            t = (cols[r, j] - lo[j]) / step[j]
-            top = npts[j] - 1.0
-            if t < 0.0:
-                t = 0.0
-                hit = True
-            elif t > top:
-                t = top
-                hit = True
-            c = int(t)
-            if c > npts[j] - 2:
-                c = npts[j] - 2
-            cell[j] = c
-            frac[j] = t - c
-        if hit:
-            clamped += 1
-        base = 0
-        for j in range(m):
-            base += cell[j] * strides[j]
-        total = 0.0
-        for corner in range(1 << m):
-            idx = base
-            weight = 1.0
-            for j in range(m):
-                if (corner >> j) & 1:
-                    idx += strides[j]
-                    weight *= frac[j]
-                else:
-                    weight *= 1.0 - frac[j]
-            total += weight * flat[idx]
-        out[r] = total
-    return out, clamped
-
-
-IMPLEMENTATIONS: dict[str, dict] = {
-    "numpy": {
-        "zeta_subsets": _zeta_subsets_numpy,
-        "moebius_subsets": _moebius_subsets_numpy,
-        "zeta_supersets": _zeta_supersets_numpy,
-        "delta_weighted": _delta_weighted_numpy,
-        "interp_multilinear": _interp_multilinear_numpy,
-    }
-}
-
-if using_numba:
-    _jit = _numba.njit(cache=True)
-    _zeta_subsets_jit = _jit(_zeta_subsets_scalar)
-    _moebius_subsets_jit = _jit(_moebius_subsets_scalar)
-    _zeta_supersets_jit = _jit(_zeta_supersets_scalar)
-    _delta_weighted_jit = _jit(_delta_weighted_scalar)
-    _interp_multilinear_jit = _jit(_interp_multilinear_scalar)
-
-    def _delta_weighted_numba(values, dim, weights):
-        return _delta_weighted_jit(values, dim, weights, popcount_table(dim))
-
-    IMPLEMENTATIONS["numba"] = {
-        "zeta_subsets": _zeta_subsets_jit,
-        "moebius_subsets": _moebius_subsets_jit,
-        "zeta_supersets": _zeta_supersets_jit,
-        "delta_weighted": _delta_weighted_numba,
-        "interp_multilinear": _interp_multilinear_jit,
-    }
-
-_active = IMPLEMENTATIONS["numba" if using_numba else "numpy"]
-
-zeta_subsets = _active["zeta_subsets"]
-moebius_subsets = _active["moebius_subsets"]
-zeta_supersets = _active["zeta_supersets"]
-delta_weighted = _active["delta_weighted"]
-interp_multilinear = _active["interp_multilinear"]
-
-
-def warmup(dim: int = 3) -> None:
-    """Trigger jit compilation (a no-op on the numpy path)."""
-    values = np.arange(1 << dim, dtype=np.float64)
-    zeta_subsets(values, dim)
-    moebius_subsets(values, dim)
-    zeta_supersets(values, dim)
-    delta_weighted(values, dim, np.ones((dim + 1, dim + 1)))
-    cols = np.linspace(0.0, 1.0, 8).reshape(4, 2)
-    interp_multilinear(
-        cols,
-        np.zeros(2),
-        np.ones(2) * 0.5,
-        np.full(2, 3, dtype=np.int64),
-        np.arange(9, dtype=np.float64),
-    )

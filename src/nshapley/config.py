@@ -65,8 +65,10 @@ from .valuefn import (
     GamInducedValueFunction,
     InterventionalValueFunction,
     NoMatchingRows,
+    NonFiniteValue,
     ObservationalExactMatchValueFunction,
     ValueFunction,
+    ValueTable,
     build_value_table,
 )
 
@@ -392,12 +394,16 @@ def _prepare(config: RunConfig) -> _Prepared:
     )
 
 
-def _explain_point(prepared: _Prepared, point_id: int) -> ShapleyGam:
+def _value_table(prepared: _Prepared, point_id: int) -> ValueTable:
+    """One point's value table; every documented failure names the point."""
     try:
-        table = build_value_table(prepared.value_fn, prepared.dataset.rows[point_id])
-    except (NoMatchingRows, ProcessFailed, ProtocolTimeout) as exc:
+        return build_value_table(prepared.value_fn, prepared.dataset.rows[point_id])
+    except (NoMatchingRows, NonFiniteValue, ProcessFailed, ProtocolTimeout) as exc:
         raise RunError(f"point {point_id}: {exc}") from exc
-    return shapley_gam(table)
+
+
+def _explain_point(prepared: _Prepared, point_id: int) -> ShapleyGam:
+    return shapley_gam(_value_table(prepared, point_id))
 
 
 def _indices_for_point(prepared: _Prepared, point_id: int) -> list[InteractionIndex]:
@@ -508,10 +514,7 @@ def run_check(config: RunConfig, tol: float = 1e-9) -> tuple[str, bool]:
         lines.append(f"{'PASS' if passed else 'FAIL'}  {name}  {detail}")
 
     for pid in prepared.point_ids:
-        try:
-            table = build_value_table(prepared.value_fn, prepared.dataset.rows[pid])
-        except NoMatchingRows as exc:
-            raise RunError(f"point {pid}: {exc}") from exc
+        table = _value_table(prepared, pid)
         gam = shapley_gam(table)
         v_gap = float(table.values[-1] - table.values[0])
         scale = max(1.0, abs(float(table.values[-1])))

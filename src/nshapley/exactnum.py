@@ -42,7 +42,8 @@ def bernoulli(n: int) -> Fraction:
     """Exact Bernoulli number B_n, with the convention B_1 = -1/2.
 
     Uses the recursion B_n = -1/(n+1) * sum_{k<n} C(n+1, k) B_k and
-    memoizes every value computed along the way.
+    memoizes every value computed along the way. B_n = 0 for odd n >= 3,
+    so those entries are stored directly and skipped in the sum.
     """
     if n < 0:
         raise ValueError(f"Bernoulli numbers need n >= 0, got {n}")
@@ -51,8 +52,13 @@ def bernoulli(n: int) -> Fraction:
     with _cache_lock:
         while len(_bernoulli_cache) <= n:
             m = len(_bernoulli_cache)
+            if m > 1 and m % 2:
+                _bernoulli_cache.append(Fraction(0))
+                continue
             acc = Fraction(0)
             for k in range(m):
+                if k > 1 and k % 2:
+                    continue
                 acc += comb(m + 1, k) * _bernoulli_cache[k]
             _bernoulli_cache.append(Fraction(-1, m + 1) * acc)
     return _bernoulli_cache[n]

@@ -32,6 +32,7 @@ from .models import ComponentMap, PredictFn
 
 __all__ = [
     "NoMatchingRows",
+    "NonFiniteValue",
     "ValueTable",
     "ValueFunction",
     "InterventionalValueFunction",
@@ -54,6 +55,16 @@ class NoMatchingRows(LookupError):
         if detail:
             msg = f"{msg}: {detail}"
         super().__init__(msg)
+
+
+class NonFiniteValue(ValueError):
+    """The value function produced a NaN or infinite entry for some subset."""
+
+    def __init__(self, subset: int, value: float):
+        self.subset = int(subset)
+        super().__init__(
+            f"value on subset {{{subset_key(subset)}}} is not finite ({value!r})"
+        )
 
 
 def as_background(rows, dim: int | None = None) -> np.ndarray:
@@ -126,12 +137,16 @@ def build_value_table(value_fn: ValueFunction, point) -> ValueTable:
     Entries are always produced with the same per-entry summation order,
     so the result does not depend on batching or parallel scheduling.
     ``NoMatchingRows`` from the observational semantics propagates with
-    the offending subset attached.
+    the offending subset attached; a NaN or infinite entry raises
+    ``NonFiniteValue`` naming the first such subset.
     """
     if value_fn.dim > MAX_DIM:
         raise ValueError(f"dim {value_fn.dim} exceeds the hard cap of {MAX_DIM}")
     x = _as_point(point, value_fn.dim)
     values = value_fn.batch_evaluate(x)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise NonFiniteValue(int(bad[0]), float(values[bad[0]]))
     return ValueTable(SubsetTable(value_fn.dim, values), x)
 
 

@@ -2,8 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v`` (the per-test lines are
 the per-criterion report) or with ``-s`` to see the printed lines with
-timings. Timed criteria are measured after a small warm-up run so that
-jit compilation is not billed against the numeric work.
+timings.
 """
 
 import importlib
@@ -11,10 +10,8 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 import nshapley.exactnum
-from nshapley import _kernels
 from nshapley.analysis import interaction_degree, partial_dependence
 from nshapley.core import (
     classic_shapley_oracle,
@@ -76,11 +73,6 @@ REFERENCE_BERNOULLI = [
     Fraction(43867, 798),
     Fraction(0),
 ]
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    _kernels.warmup()
 
 
 def report(number: int, name: str, elapsed: float, detail: str = ""):

@@ -155,17 +155,6 @@ def test_components_recovered_from_cumulative_tables():
         assert np.max(np.abs(recovered - components)) <= 1e-12
 
 
-@pytest.mark.skipif(not _kernels.using_numba, reason="numba flavour not active")
-def test_kernel_flavours_bit_identical_for_sweeps():
-    rng = np.random.default_rng(3)
-    for dim in (1, 5, 10):
-        values = rng.normal(size=1 << dim)
-        for name in ("zeta_subsets", "moebius_subsets", "zeta_supersets"):
-            a = _kernels.IMPLEMENTATIONS["numpy"][name](values, dim)
-            b = _kernels.IMPLEMENTATIONS["numba"][name](values, dim)
-            assert np.array_equal(a, b)
-
-
 def test_superset_sweep_definition():
     rng = np.random.default_rng(5)
     dim = 6

@@ -14,6 +14,7 @@ from nshapley.valuefn import (
     GamInducedValueFunction,
     InterventionalValueFunction,
     NoMatchingRows,
+    NonFiniteValue,
     ObservationalExactMatchValueFunction,
     ValueTable,
     build_value_table,
@@ -183,6 +184,16 @@ def test_build_value_table_constant_model():
     vf = InterventionalValueFunction(ConstantModel(3, 2.5), np.zeros((4, 3)))
     table = build_value_table(vf, np.ones(3))
     assert np.all(table.values == 2.5)
+
+
+def test_build_value_table_names_first_non_finite_subset():
+    # the product overflows only when both coordinates come from the point
+    vf = InterventionalValueFunction(ProductModel(), np.ones((2, 2)))
+    with np.errstate(over="ignore"), pytest.raises(
+        NonFiniteValue, match=r"subset \{0,1\} is not finite \(inf\)"
+    ) as err:
+        build_value_table(vf, np.array([1e200, 1e200]))
+    assert err.value.subset == 0b11
 
 
 def test_value_table_validates_point():
