@@ -15,8 +15,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import _kernels
 from .core import InteractionIndex, ShapleyGam
-from .lattice import popcount
 
 __all__ = ["DegreeReport", "interaction_degree", "DependenceSeries", "partial_dependence"]
 
@@ -60,12 +60,11 @@ def interaction_degree(gams: Sequence[ShapleyGam]) -> DegreeReport:
     dim = gams[0].dim
     if any(g.dim != dim for g in gams):
         raise ValueError("all decompositions must share one dimension")
+    pc = _kernels.popcount_table(dim)
     per_point = np.empty(len(gams))
     pooled_by_order = np.zeros(dim + 1)
     for idx, gam in enumerate(gams):
-        mass_by_order = np.zeros(dim + 1)
-        for mask, value in gam.values.items():
-            mass_by_order[popcount(mask)] += abs(value)
+        mass_by_order = np.bincount(pc, weights=np.abs(gam.values), minlength=dim + 1)
         pooled_by_order += mass_by_order
         total = mass_by_order.sum()
         if total == 0.0:

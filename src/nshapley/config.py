@@ -406,14 +406,14 @@ def _explain_point(prepared: _Prepared, point_id: int) -> ShapleyGam:
     return shapley_gam(_value_table(prepared, point_id))
 
 
-def _indices_for_point(prepared: _Prepared, point_id: int) -> list[InteractionIndex]:
-    gam = _explain_point(prepared, point_id)
-    if prepared.orders == list(range(1, prepared.dataset.dim + 1)):
+def _indices_for_gam(gam: ShapleyGam, orders: list[int]) -> list[InteractionIndex]:
+    if orders == list(range(1, gam.dim + 1)):
         return n_shapley_all_orders(gam)
-    return [
-        gam if order == gam.dim else n_shapley_from_gam(gam, order)
-        for order in prepared.orders
-    ]
+    return [gam if order == gam.dim else n_shapley_from_gam(gam, order) for order in orders]
+
+
+def _indices_for_point(prepared: _Prepared, point_id: int) -> list[InteractionIndex]:
+    return _indices_for_gam(_explain_point(prepared, point_id), prepared.orders)
 
 
 def _records_csv(point_ids: list[int], per_point: list[list[InteractionIndex]]) -> str:
@@ -421,10 +421,11 @@ def _records_csv(point_ids: list[int], per_point: list[list[InteractionIndex]]) 
     for pid, indices in zip(point_ids, per_point):
         for index in indices:
             lines.append(f'{pid},{index.order},"",{index.baseline!r}')
-            for mask in sorted(index.values):
-                lines.append(
-                    f'{pid},{index.order},"{subset_key(mask)}",{index.values[mask]!r}'
-                )
+            masks = index.masks()
+            lines.extend(
+                f'{pid},{index.order},"{subset_key(mask)}",{value!r}'
+                for mask, value in zip(masks.tolist(), index.values[masks].tolist())
+            )
     return "\n".join(lines) + "\n"
 
 
@@ -518,8 +519,8 @@ def run_check(config: RunConfig, tol: float = 1e-9) -> tuple[str, bool]:
         gam = shapley_gam(table)
         v_gap = float(table.values[-1] - table.values[0])
         scale = max(1.0, abs(float(table.values[-1])))
-        for order in prepared.orders:
-            phi = gam if order == d else n_shapley_from_gam(gam, order)
+        indices = dict(zip(prepared.orders, _indices_for_gam(gam, prepared.orders)))
+        for order, phi in indices.items():
             eff = abs(phi.total() - v_gap)
             record(
                 f"efficiency point={pid} order={order}",
@@ -529,23 +530,19 @@ def run_check(config: RunConfig, tol: float = 1e-9) -> tuple[str, bool]:
         recon = abs(gam.prediction() - float(table.values[-1]))
         record(f"decomposition-sum point={pid}", recon <= tol * scale, f"gap={recon:.3e}")
         if d <= 10:
-            for order in prepared.orders:
-                direct = n_shapley_recursive(table, order)
-                unrolled = n_shapley_explicit(table, order)
-                combined = gam if order == d else n_shapley_from_gam(gam, order)
-                gap = 0.0
-                for mask in direct.values:
-                    gap = max(gap, abs(direct.values[mask] - combined.values[mask]))
-                    gap = max(gap, abs(direct.values[mask] - unrolled.values[mask]))
+            for order, combined in indices.items():
+                direct = n_shapley_recursive(table, order).values
+                unrolled = n_shapley_explicit(table, order).values
+                gap = float(
+                    max(np.abs(direct - combined.values).max(), np.abs(direct - unrolled).max())
+                )
                 record(
                     f"dual-path point={pid} order={order}", gap <= tol, f"gap={gap:.3e}"
                 )
         if d <= 12:
             oracle = classic_shapley_oracle(table)
-            order_one = n_shapley_from_gam(gam, 1)
-            gap = max(
-                abs(order_one.value(1 << i) - oracle[i]) for i in range(d)
-            )
+            order_one = indices[1] if 1 in indices else n_shapley_from_gam(gam, 1)
+            gap = float(np.abs(order_one.values[1 << np.arange(d)] - oracle).max())
             record(f"order-1-oracle point={pid}", gap <= tol, f"gap={gap:.3e}")
         for order in prepared.orders:
             if order < d:

@@ -24,15 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
-from types import MappingProxyType
-from typing import Mapping
+from math import factorial
 
 import numpy as np
 
 from . import _kernels
 from .exactnum import CoefficientTable, bernoulli
-from .lattice import iter_submasks, popcount, subset_key
+from .lattice import SubsetTable, iter_submasks, popcount, subset_key
 from .valuefn import ValueTable
 
 __all__ = [
@@ -59,34 +57,34 @@ PROVENANCE_FROM_GAM = "from-gam"
 class InteractionIndex:
     """Attributions Phi_S for every coalition with 1 <= |S| <= order.
 
-    ``baseline`` is v(empty); together with efficiency this means
-    baseline + sum of all values reproduces v(full set). ``provenance``
-    records which computation route produced the numbers ("direct" for
-    the contribution-measure route and the plain inversion, "from-gam"
-    for the coefficient route).
+    ``values`` is one read-only float64 array of shape ``(2**dim,)``
+    indexed by subset mask; it holds 0 at the empty mask and at every
+    mask above the order, and ``masks()`` lists the covered coalitions
+    in ascending mask order. ``baseline`` is v(empty); together with
+    efficiency this means baseline + sum of all values reproduces
+    v(full set). ``provenance`` records which computation route
+    produced the numbers ("direct" for the contribution-measure route
+    and the plain inversion, "from-gam" for the coefficient route).
+    In results files each coalition is keyed by its canonical
+    ``subset_key`` (see ``serialize``).
     """
 
     dim: int
     order: int
     baseline: float
-    values: Mapping[int, float]
+    values: np.ndarray
     point: np.ndarray | None = None
     provenance: str = PROVENANCE_DIRECT
 
     def __post_init__(self):
         if not 1 <= self.order <= self.dim:
             raise ValueError(f"order must be in [1, dim={self.dim}], got {self.order}")
-        expected = sum(comb(self.dim, k) for k in range(1, self.order + 1))
-        if len(self.values) != expected:
-            raise ValueError(
-                f"index of dim={self.dim}, order={self.order} needs exactly "
-                f"{expected} entries, got {len(self.values)}"
-            )
-        for mask in self.values:
-            if not 1 <= popcount(mask) <= self.order or mask >> self.dim:
-                raise ValueError(f"subset {subset_key(mask)!r} is out of range")
-        snapshot = {int(mask): float(v) for mask, v in self.values.items()}
-        object.__setattr__(self, "values", MappingProxyType(snapshot))
+        values = SubsetTable(self.dim, self.values).values
+        pc = _kernels.popcount_table(self.dim)
+        stray = np.flatnonzero(((pc == 0) | (pc > self.order)) & (values != 0.0))
+        if stray.size:
+            raise ValueError(f"subset {subset_key(int(stray[0]))!r} is out of range")
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "baseline", float(self.baseline))
         if self.point is not None:
             point = np.array(self.point, dtype=np.float64)
@@ -95,24 +93,19 @@ class InteractionIndex:
             point.flags.writeable = False
             object.__setattr__(self, "point", point)
 
-    def value(self, mask: int) -> float:
-        try:
-            return self.values[mask]
-        except KeyError:
-            raise KeyError(
-                f"subset {{{subset_key(mask)}}} not in an order-{self.order} index"
-            ) from None
+    def masks(self) -> np.ndarray:
+        """The covered coalitions (1 <= |S| <= order), ascending."""
+        pc = _kernels.popcount_table(self.dim)
+        return np.flatnonzero((pc >= 1) & (pc <= self.order))
 
-    def dense(self) -> np.ndarray:
-        """Values scattered into a dense 2**dim array (zeros elsewhere)."""
-        out = np.zeros(1 << self.dim)
-        for mask, val in self.values.items():
-            out[mask] = val
-        return out
+    def value(self, mask: int) -> float:
+        if not 1 <= popcount(mask) <= self.order or mask >> self.dim:
+            raise KeyError(f"subset {{{subset_key(mask)}}} not in an order-{self.order} index")
+        return float(self.values[mask])
 
     def total(self) -> float:
         """Sum of all attributions; equals v(full) - v(empty) by efficiency."""
-        return float(sum(self.values[mask] for mask in sorted(self.values)))
+        return float(sum(self.values[self.masks()].tolist()))
 
 
 @dataclass(frozen=True)
@@ -135,12 +128,6 @@ class ShapleyGam(InteractionIndex):
 
     def prediction(self) -> float:
         return self.baseline + self.total()
-
-
-def _values_from_dense(dense: np.ndarray, dim: int, order: int) -> dict[int, float]:
-    pc = _kernels.popcount_table(dim)
-    masks = np.flatnonzero((pc >= 1) & (pc <= order))
-    return {int(m): float(dense[m]) for m in masks}
 
 
 @lru_cache(maxsize=None)
@@ -265,7 +252,7 @@ def n_shapley_recursive(table: ValueTable, order: int) -> InteractionIndex:
         dim=d,
         order=order,
         baseline=float(table.values[0]),
-        values=_values_from_dense(cur, d, order),
+        values=cur,
         point=table.point,
         provenance=PROVENANCE_DIRECT,
     )
@@ -296,7 +283,7 @@ def n_shapley_explicit(table: ValueTable, order: int) -> InteractionIndex:
         dim=d,
         order=order,
         baseline=float(table.values[0]),
-        values=_values_from_dense(phi, d, order),
+        values=phi,
         point=table.point,
         provenance=PROVENANCE_DIRECT,
     )
@@ -310,25 +297,43 @@ def shapley_gam(table: ValueTable) -> ShapleyGam:
     linear combination of these components.
     """
     components = _kernels.moebius_subsets(table.values, table.dim)
+    baseline = float(components[0])
+    components[0] = 0.0
     return ShapleyGam(
         dim=table.dim,
         order=table.dim,
-        baseline=float(components[0]),
-        values=_values_from_dense(components, table.dim, table.dim),
+        baseline=baseline,
+        values=components,
         point=table.point,
         provenance=PROVENANCE_DIRECT,
     )
 
 
-def _from_gam_dense(gam_dense: np.ndarray, dim: int, order: int, bycard: np.ndarray) -> np.ndarray:
-    pc = _kernels.popcount_table(dim)
-    mix = _mixing_matrix(dim)
-    phi = gam_dense.copy()
-    for s in range(1, order + 1):
-        masks = np.flatnonzero(pc == s)
-        for k in range(max(1, order + 1 - s), dim - s + 1):
-            phi[masks] += mix[order - s, k] * bycard[s + k][masks]
-    return phi
+def _indices_from_gam(gam: ShapleyGam, orders) -> list[InteractionIndex]:
+    """The coefficient route for each order in turn, sharing one set of superset sweeps."""
+    d = gam.dim
+    pc = _kernels.popcount_table(d)
+    mix = _mixing_matrix(d)
+    bycard = _supersets_by_cardinality(gam.values, d)
+    out = []
+    for order in orders:
+        phi = gam.values.copy()
+        for s in range(1, order + 1):
+            masks = np.flatnonzero(pc == s)
+            for k in range(max(1, order + 1 - s), d - s + 1):
+                phi[masks] += mix[order - s, k] * bycard[s + k][masks]
+        phi[pc > order] = 0.0
+        out.append(
+            InteractionIndex(
+                dim=d,
+                order=order,
+                baseline=gam.baseline,
+                values=phi,
+                point=gam.point,
+                provenance=PROVENANCE_FROM_GAM,
+            )
+        )
+    return out
 
 
 def n_shapley_from_gam(gam: ShapleyGam, order: int) -> InteractionIndex:
@@ -339,41 +344,14 @@ def n_shapley_from_gam(gam: ShapleyGam, order: int) -> InteractionIndex:
     order - |S| and distance |T| - |S|. At order 1 this is the familiar
     even split: each interaction is shared equally by its members.
     """
-    d = gam.dim
-    if not 1 <= order <= d:
-        raise ValueError(f"order must be in [1, dim={d}], got {order}")
-    dense = gam.dense()
-    bycard = _supersets_by_cardinality(dense, d)
-    phi = _from_gam_dense(dense, d, order, bycard)
-    return InteractionIndex(
-        dim=d,
-        order=order,
-        baseline=gam.baseline,
-        values=_values_from_dense(phi, d, order),
-        point=gam.point,
-        provenance=PROVENANCE_FROM_GAM,
-    )
+    if not 1 <= order <= gam.dim:
+        raise ValueError(f"order must be in [1, dim={gam.dim}], got {order}")
+    return _indices_from_gam(gam, [order])[0]
 
 
 def n_shapley_all_orders(gam: ShapleyGam) -> list[InteractionIndex]:
     """Indices of every order 1..dim, sharing one set of superset sweeps."""
-    d = gam.dim
-    dense = gam.dense()
-    bycard = _supersets_by_cardinality(dense, d)
-    out = []
-    for order in range(1, d + 1):
-        phi = _from_gam_dense(dense, d, order, bycard)
-        out.append(
-            InteractionIndex(
-                dim=d,
-                order=order,
-                baseline=gam.baseline,
-                values=_values_from_dense(phi, d, order),
-                point=gam.point,
-                provenance=PROVENANCE_FROM_GAM,
-            )
-        )
-    return out
+    return _indices_from_gam(gam, range(1, gam.dim + 1))
 
 
 def reduce_order(phi: InteractionIndex, order: int) -> InteractionIndex:
@@ -397,7 +375,7 @@ def reduce_order(phi: InteractionIndex, order: int) -> InteractionIndex:
     d = phi.dim
     pc = _kernels.popcount_table(d)
     bern = _bernoulli_floats(d)
-    cur = phi.dense()
+    cur = phi.values.copy()
     for q in range(phi.order, order, -1):
         top = np.where(pc == q, cur, 0.0)
         super_sums = _kernels.zeta_supersets(top, d)
@@ -409,7 +387,7 @@ def reduce_order(phi: InteractionIndex, order: int) -> InteractionIndex:
         dim=d,
         order=order,
         baseline=phi.baseline,
-        values=_values_from_dense(cur, d, order),
+        values=cur,
         point=phi.point,
         provenance=phi.provenance,
     )
@@ -467,20 +445,14 @@ def recovery_check(gam: ShapleyGam, order: int) -> RecoveryReport:
     """Measure the above-order component mass and the attribution gap."""
     if not 1 <= order <= gam.dim:
         raise ValueError(f"order must be in [1, dim={gam.dim}], got {order}")
-    worst = 0.0
-    worst_mask = 0
-    for mask, value in gam.values.items():
-        if popcount(mask) > order and abs(value) > worst:
-            worst = abs(value)
-            worst_mask = mask
+    above = np.where(_kernels.popcount_table(gam.dim) > order, np.abs(gam.values), 0.0)
+    worst_mask = int(np.argmax(above))
     phi = n_shapley_from_gam(gam, order)
-    gap = 0.0
-    for mask, value in phi.values.items():
-        gap = max(gap, abs(value - gam.values[mask]))
+    gap = np.abs(phi.values - gam.values)[phi.masks()].max()
     return RecoveryReport(
         dim=gam.dim,
         order=order,
-        max_component_above_order=worst,
+        max_component_above_order=float(above[worst_mask]),
         worst_subset_above_order=worst_mask,
-        max_attribution_gap=gap,
+        max_attribution_gap=float(gap),
     )

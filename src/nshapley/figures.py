@@ -84,8 +84,8 @@ def stacked_bar_figure(index: InteractionIndex) -> StackedBarFigure:
     nothing and are omitted.
     """
     per_feature: list[list[BarSegment]] = [[] for _ in range(index.dim)]
-    for mask in sorted(index.values, key=lambda m: (popcount(m), m)):
-        value = index.values[mask]
+    for mask in sorted(index.masks().tolist(), key=lambda m: (popcount(m), m)):
+        value = float(index.values[mask])
         members = indices_from_mask(mask)
         k = len(members)
         if k > 1 and value == 0.0:

@@ -79,22 +79,23 @@ def subset_key(mask: int) -> str:
 
 
 def parse_subset_key(key: str, dim: int) -> int:
-    """Inverse of :func:`subset_key`; enforces ascending, in-range, unique indices."""
+    """Inverse of :func:`subset_key`; accepts only the keys it writes, for in-range indices."""
     if key == "":
         return 0
-    parts = key.split(",")
     indices = []
-    for part in parts:
+    for part in key.split(","):
         try:
             indices.append(int(part))
         except ValueError:
             raise ValueError(f"bad subset key {key!r}: {part!r} is not an integer") from None
-    for a, b in zip(indices, indices[1:]):
-        if b <= a:
-            raise ValueError(f"bad subset key {key!r}: indices must be strictly ascending")
-    if indices[0] < 0 or indices[-1] >= dim:
+    if min(indices) < 0 or max(indices) >= dim:
         raise ValueError(f"bad subset key {key!r}: index out of range for dim={dim}")
-    return mask_from_indices(indices)
+    mask = mask_from_indices(indices)
+    if subset_key(mask) != key:
+        raise ValueError(
+            f"bad subset key {key!r}: not canonical, the subset is written {subset_key(mask)!r}"
+        )
+    return mask
 
 
 def iter_submasks(mask: int):

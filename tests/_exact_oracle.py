@@ -5,12 +5,17 @@ principles with Fractions only: direct alternating subset sums, the
 factorially weighted contribution measure, the Bernoulli-weighted
 recursion, and the permutation-weighted per-feature attribution. None
 of it shares code with the package under test.
+
+``scatter`` and ``entries`` convert between the ``{mask: value}``
+mappings the tests write by hand and an index's dense ``values`` array.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
+
+import numpy as np
 
 
 def popcount(mask: int) -> int:
@@ -105,3 +110,17 @@ def fr_classic_shapley(values: list[Fraction], dim: int) -> list[Fraction]:
             acc += weight * (values[t_mask | bit] - values[t_mask])
         out.append(acc)
     return out
+
+
+def scatter(dim: int, by_mask: dict[int, float]) -> np.ndarray:
+    """Dense float64 array of length 2**dim: by_mask[m] at each mask m, 0 elsewhere."""
+    out = np.zeros(1 << dim)
+    for mask, value in by_mask.items():
+        out[mask] = value
+    return out
+
+
+def entries(index) -> dict[int, float]:
+    """An index's covered coalitions and their values, in ascending mask order."""
+    masks = index.masks()
+    return dict(zip(masks.tolist(), index.values[masks].tolist()))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from _exact_oracle import entries, scatter
 from nshapley.analysis import interaction_degree, partial_dependence
 from nshapley.core import ShapleyGam, n_shapley_from_gam, shapley_gam
 from nshapley.lattice import SubsetTable
@@ -31,7 +32,7 @@ def gam_from_components(dim, component_values, baseline=0.0, point=None):
         dim=dim,
         order=dim,
         baseline=baseline,
-        values=values,
+        values=scatter(dim, values),
         point=point,
     )
 
@@ -104,6 +105,26 @@ def test_mass_shares_invariant_under_positive_rescaling():
     b = interaction_degree([shapley_gam(scaled)])
     assert np.allclose(a.order_mass_share, b.order_mass_share, atol=1e-12)
     assert a.mean_degree == pytest.approx(b.mean_degree, abs=1e-12)
+
+
+def test_degree_matches_the_per_mask_loop():
+    rng = np.random.default_rng(2)
+    dim = 6
+    gams = [
+        shapley_gam(ValueTable(SubsetTable(dim, rng.normal(size=1 << dim)), np.zeros(dim)))
+        for _ in range(5)
+    ]
+    pooled = np.zeros(dim + 1)
+    per_point = []
+    for gam in gams:
+        mass = np.zeros(dim + 1)
+        for mask, value in entries(gam).items():
+            mass[bin(mask).count("1")] += abs(value)
+        pooled += mass
+        per_point.append(float((np.arange(dim + 1) * mass).sum() / mass.sum()))
+    report = interaction_degree(gams)
+    assert report.per_point.tolist() == per_point
+    assert report.order_mass_share.tolist() == (pooled / pooled.sum()).tolist()
 
 
 def test_degree_input_validation():

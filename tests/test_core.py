@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _exact_oracle import fr_classic_shapley, fr_phi_recursive
+from _exact_oracle import entries, fr_classic_shapley, fr_phi_recursive, scatter
 from nshapley.core import (
     InteractionIndex,
     ShapleyGam,
@@ -56,10 +56,8 @@ def single_component_table(dim, top_mask, weight=1.0) -> ValueTable:
 
 
 def max_gap(index_a: InteractionIndex, index_b: InteractionIndex) -> float:
-    assert index_a.values.keys() == index_b.values.keys()
-    return max(
-        abs(index_a.values[m] - index_b.values[m]) for m in index_a.values
-    )
+    assert np.array_equal(index_a.masks(), index_b.masks())
+    return float(np.max(np.abs(index_a.values - index_b.values)))
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +153,7 @@ def test_constant_model_gives_all_zero_indices():
     for order in range(1, 5):
         for build in (n_shapley_recursive, n_shapley_explicit):
             phi = build(table, order)
-            assert max(abs(v) for v in phi.values.values()) <= 1e-12
+            assert np.max(np.abs(phi.values)) <= 1e-12
 
 
 def test_three_routes_agree_on_random_tables():
@@ -188,7 +186,7 @@ def test_routes_match_the_exact_rational_oracle():
             lambda t, n: n_shapley_from_gam(gam, n),
         ):
             phi = build(table, order)
-            for mask, val in phi.values.items():
+            for mask, val in entries(phi).items():
                 assert val == pytest.approx(float(expected[mask]), abs=1e-10)
 
 
@@ -197,9 +195,9 @@ def test_explicit_top_layer_is_the_contribution_measure():
     table = random_table(rng, 5)
     for order in range(1, 6):
         phi = n_shapley_explicit(table, order)
-        for mask in phi.values:
+        for mask, val in entries(phi).items():
             if popcount(mask) == order:
-                assert phi.values[mask] == pytest.approx(
+                assert val == pytest.approx(
                     delta(table, mask), abs=1e-12
                 )
 
@@ -273,7 +271,7 @@ def test_additivity_of_the_pipeline():
         phi_f = n_shapley_from_gam(shapley_gam(table_f), order)
         phi_g = n_shapley_from_gam(shapley_gam(table_g), order)
         phi_fg = n_shapley_from_gam(shapley_gam(table_fg), order)
-        for mask in phi_fg.values:
+        for mask in phi_fg.masks().tolist():
             assert phi_fg.values[mask] == pytest.approx(
                 phi_f.values[mask] + phi_g.values[mask], abs=1e-10
             )
@@ -300,7 +298,7 @@ def test_components_are_local_to_their_subset():
         x_prime = x.copy()
         x_prime[j] += rng.normal()
         gam_prime = shapley_gam(build_value_table(vf, x_prime))
-        for mask in gam.values:
+        for mask in gam.masks().tolist():
             if not mask & (1 << j):
                 assert abs(gam.values[mask] - gam_prime.values[mask]) <= 1e-10
 
@@ -390,7 +388,7 @@ def test_declared_components_round_trip():
         gam = shapley_gam(build_value_table(vf, x))
         expected = cmap.component_table(x)
         assert abs(gam.baseline - expected[0]) <= 1e-12
-        for mask, value in gam.values.items():
+        for mask, value in entries(gam).items():
             assert abs(value - expected[mask]) <= 1e-12
 
 
@@ -526,6 +524,30 @@ def test_recovery_flags_the_checkerboard_top_component():
     assert not report.is_order()
 
 
+def test_recovery_check_matches_the_per_mask_loop():
+    # components on a coarse grid so that above-order ties occur; the
+    # reported subset is the first largest one in ascending mask order
+    rng = np.random.default_rng(24)
+    dim = 5
+    for _ in range(20):
+        values = rng.integers(-3, 4, size=1 << dim) / 4.0
+        table = ValueTable(SubsetTable(dim, values), np.zeros(dim))
+        gam = shapley_gam(table)
+        for order in range(1, dim + 1):
+            worst, worst_mask = 0.0, 0
+            for mask, value in entries(gam).items():
+                if popcount(mask) > order and abs(value) > worst:
+                    worst, worst_mask = abs(value), mask
+            phi = n_shapley_from_gam(gam, order)
+            gap = 0.0
+            for mask, value in entries(phi).items():
+                gap = max(gap, abs(value - gam.values[mask]))
+            report = recovery_check(gam, order)
+            assert report.max_component_above_order == worst
+            assert report.worst_subset_above_order == worst_mask
+            assert report.max_attribution_gap == gap
+
+
 def test_order_one_attributions_collapse_onto_curves():
     # for an order-1 model, the per-feature attribution is a function of
     # that feature alone: zero spread across points sharing the value
@@ -558,29 +580,35 @@ def test_order_one_attributions_collapse_onto_curves():
 
 def test_index_key_discipline():
     with pytest.raises(ValueError):
-        InteractionIndex(dim=2, order=1, baseline=0.0, values={0b11: 1.0, 0b01: 0.0})
+        InteractionIndex(dim=2, order=1, baseline=0.0, values=scatter(2, {0b11: 1.0, 0b01: 0.0}))
+    with pytest.raises(ValueError):  # the empty coalition holds no attribution
+        InteractionIndex(dim=2, order=1, baseline=0.0, values=scatter(2, {0: 1.0, 0b01: 1.0}))
     with pytest.raises(ValueError):
-        InteractionIndex(dim=2, order=1, baseline=0.0, values={0b01: 1.0})
+        InteractionIndex(dim=2, order=1, baseline=0.0, values=np.zeros(3))
     with pytest.raises(ValueError):
-        InteractionIndex(dim=2, order=3, baseline=0.0, values={})
+        InteractionIndex(dim=2, order=3, baseline=0.0, values=np.zeros(4))
     index = InteractionIndex(
-        dim=2, order=1, baseline=0.5, values={0b01: 1.0, 0b10: 2.0}
+        dim=2, order=1, baseline=0.5, values=scatter(2, {0b01: 1.0, 0b10: 2.0})
     )
     assert index.total() == 3.0
+    assert index.masks().tolist() == [0b01, 0b10]
+    assert index.values.shape == (4,) and index.values.dtype == np.float64
     with pytest.raises(KeyError):
         index.value(0b11)
-    with pytest.raises(TypeError):
+    with pytest.raises(KeyError):
+        index.value(0)
+    with pytest.raises(ValueError):
         index.values[0b01] = 0.0
 
 
 def test_gam_type_requires_full_order():
     with pytest.raises(ValueError):
-        ShapleyGam(dim=2, order=1, baseline=0.0, values={0b01: 0.0, 0b10: 0.0})
+        ShapleyGam(dim=2, order=1, baseline=0.0, values=scatter(2, {0b01: 0.0, 0b10: 0.0}))
     gam = ShapleyGam(
         dim=2,
         order=2,
         baseline=1.0,
-        values={0b01: 1.0, 0b10: 2.0, 0b11: 3.0},
+        values=scatter(2, {0b01: 1.0, 0b10: 2.0, 0b11: 3.0}),
     )
     assert gam.component(0) == 1.0
     assert gam.component(0b11) == 3.0

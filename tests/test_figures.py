@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from _exact_oracle import scatter
 from nshapley.analysis import DependenceSeries
 from nshapley.core import InteractionIndex, reduce_order, shapley_gam
 from nshapley.figures import (
@@ -27,7 +28,7 @@ def index_with(dim, order, singles, extras):
         values[1 << i] = v
     for feats, v in extras.items():
         values[mask_from_indices(feats)] = v
-    return InteractionIndex(dim=dim, order=order, baseline=0.0, values=values)
+    return InteractionIndex(dim=dim, order=order, baseline=0.0, values=scatter(dim, values))
 
 
 # the running worked example: mains (0, 0, 0.2, -0.1) on four features

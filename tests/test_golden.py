@@ -1,0 +1,70 @@
+"""Byte-for-byte output contract on a small committed fixture.
+
+``golden/run.json`` explains two points of a 5-feature additive model
+with single, pair and triple terms. Every CLI output below must equal
+the committed file in ``golden/expected/`` byte for byte: a change to
+any of them is a change of the documented output, not a refactor.
+
+To regenerate the expected files after an intended output change:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import os
+from pathlib import Path
+
+import pytest
+
+from nshapley.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+EXPECTED = GOLDEN / "expected"
+
+# expected file name -> CLI arguments; "{out}" is the output path, and a
+# run without it is compared on its stdout.
+RUNS = {
+    "explain.json": ["explain", "--config", "run.json", "--out", "{out}"],
+    "explain.csv": ["explain", "--config", "run.json", "--format", "csv", "--out", "{out}"],
+    "gam.json": ["gam", "--config", "run.json", "--out", "{out}"],
+    "degree.json": ["degree", "--config", "run.json", "--out", "{out}"],
+    "check.txt": ["check", "--config", "run.json"],
+    "bars_point6_order3.svg": [
+        "plot", "bars", "--config", "run.json", "--points", "6", "--order", "3",
+        "--out", "{out}",
+    ],
+}
+
+
+def produce(name: str, workdir: Path) -> bytes:
+    """Run one golden command from the fixture directory; return its output bytes."""
+    out = workdir / name
+    argv = [arg.replace("{out}", str(out)) for arg in RUNS[name]]
+    stdout = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(GOLDEN)
+    try:
+        with contextlib.redirect_stdout(stdout):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    assert code == 0, f"{name}: exit code {code}"
+    if "{out}" in RUNS[name]:
+        return out.read_bytes()
+    return stdout.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_output_matches_golden_bytes(name, tmp_path):
+    assert produce(name, tmp_path) == (EXPECTED / name).read_bytes()
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    EXPECTED.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(RUNS):
+            (EXPECTED / name).write_bytes(produce(name, Path(tmp)))
+            print(EXPECTED / name)

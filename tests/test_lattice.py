@@ -50,6 +50,9 @@ def test_subset_key_roundtrip_errors():
         parse_subset_key("0,9", 4)  # out of range
     with pytest.raises(ValueError):
         parse_subset_key("a", 4)
+    for key, dim in (("01", 2), (" 1", 2), ("+1", 2), ("1_0", 12), ("0, 1", 2), ("-0", 2)):
+        with pytest.raises(ValueError, match="not canonical"):
+            parse_subset_key(key, dim)
     with pytest.raises(ValueError):
         mask_from_indices([5], dim=3)
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from _exact_oracle import entries
 from nshapley.core import shapley_gam
 from nshapley.lattice import popcount
 from nshapley.models import (
@@ -171,7 +172,7 @@ def test_checkerboard_concentrates_on_active_set(active_size, granularity):
     gam = shapley_gam(build_value_table(vf, x))
     full = (1 << dim) - 1
     assert abs(abs(gam.values[full]) - 0.5) <= 1e-12
-    for mask, value in gam.values.items():
+    for mask, value in entries(gam).items():
         if mask != full:
             assert abs(value) <= 1e-12
     assert abs(gam.baseline - 0.5) <= 1e-12
@@ -257,7 +258,7 @@ def test_additive_models_have_no_components_above_their_order():
                 InterventionalValueFunction(model, background), rng.normal(size=dim)
             )
         )
-        for mask, value in gam.values.items():
+        for mask, value in entries(gam).items():
             if popcount(mask) > order:
                 assert abs(value) <= 1e-10
 

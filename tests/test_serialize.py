@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from _exact_oracle import scatter
 from nshapley.core import InteractionIndex, ShapleyGam, shapley_gam
 from nshapley.lattice import SubsetTable
 from nshapley.serialize import (
@@ -28,7 +29,7 @@ def random_index(rng, dim, order):
         dim=dim,
         order=order,
         baseline=float(rng.normal()),
-        values=values,
+        values=scatter(dim, values),
         point=rng.normal(size=dim),
         provenance="from-gam" if order < dim else "direct",
     )
@@ -36,7 +37,7 @@ def random_index(rng, dim, order):
 
 def test_record_shape():
     index = InteractionIndex(
-        dim=2, order=1, baseline=0.25, values={0b01: 1.5, 0b10: -2.0}
+        dim=2, order=1, baseline=0.25, values=scatter(2, {0b01: 1.5, 0b10: -2.0})
     )
     record = index_to_record(index)
     assert record["dim"] == 2
@@ -64,7 +65,7 @@ def test_round_trip_exact_to_the_bit():
     for a, b in zip(indices, back):
         assert a.dim == b.dim and a.order == b.order
         assert a.baseline == b.baseline
-        assert dict(a.values) == dict(b.values)  # bitwise float equality
+        assert np.array_equal(a.values, b.values)  # exact float equality
         assert np.array_equal(a.point, b.point)
         assert a.provenance == b.provenance
         assert type(a) is type(b)
@@ -76,7 +77,7 @@ def test_file_round_trip(tmp_path):
     path = tmp_path / "results.json"
     write_records(indices, path)
     back = read_records(path)
-    assert dict(back[0].values) == dict(indices[0].values)
+    assert np.array_equal(back[0].values, indices[0].values)
     # serialisation is deterministic
     first = path.read_bytes()
     write_records(indices, path)
@@ -89,15 +90,17 @@ def test_gnarly_floats_survive():
         0b10: -1.2345678901234567e-300,
         0b11: 9.007199254740993e15,
     }
-    index = InteractionIndex(dim=2, order=2, baseline=3.3333333333333335, values=values)
+    index = InteractionIndex(
+        dim=2, order=2, baseline=3.3333333333333335, values=scatter(2, values)
+    )
     back = loads_records(dumps_records([index]))[0]
-    assert dict(back.values) == values
+    assert np.array_equal(back.values, scatter(2, values))
     assert back.baseline == 3.3333333333333335
 
 
 def test_unknown_record_keys_rejected():
     record = index_to_record(
-        InteractionIndex(dim=1, order=1, baseline=0.0, values={1: 0.0})
+        InteractionIndex(dim=1, order=1, baseline=0.0, values=np.zeros(2))
     )
     record["bogus"] = 1
     with pytest.raises(ValueError, match="unknown record keys"):
@@ -115,3 +118,42 @@ def test_full_order_records_come_back_as_decompositions():
     back = loads_records(dumps_records([gam]))[0]
     assert isinstance(back, ShapleyGam)
     assert back.prediction() == gam.prediction()
+
+
+def order_one_record(values: dict, dim: int = 2, **fields) -> dict:
+    return {"dim": dim, "order": 1, "baseline": 0.0, "point": None,
+            "provenance": "direct", "values": values, **fields}
+
+
+def test_canonical_order_one_record_loads():
+    index = record_to_index(order_one_record({"0": 1.0, "1": 3.0}))
+    assert index.value(0b01) == 1.0 and index.value(0b10) == 3.0
+
+
+def test_non_canonical_key_cannot_shadow_a_subset():
+    # "01" also parses as feature 1; it must not overwrite or drop the value under "1"
+    with pytest.raises(ValueError, match="not canonical"):
+        record_to_index(order_one_record({"0": 1.0, "1": 2.0, "01": 3.0}))
+
+
+def test_oversized_dimension_rejected_before_allocation():
+    # a complete order-1 record, but its dense array would take 2**40 floats
+    singles = {str(i): 1.0 for i in range(40)}
+    with pytest.raises(ValueError, match="dim <= 24"):
+        record_to_index(order_one_record(singles, dim=40))
+
+
+def test_missing_subset_rejected():
+    with pytest.raises(ValueError, match="every subset"):
+        record_to_index(order_one_record({"0": 1.0}))
+
+
+def test_unknown_provenance_rejected():
+    with pytest.raises(ValueError, match="provenance"):
+        record_to_index(order_one_record({"0": 1.0, "1": 2.0}, provenance="bogus"))
+
+
+def test_repeated_key_in_a_document_rejected():
+    text = '[{"dim": 2, "order": 1, "baseline": 0.0, "values": {"0": 1.0, "1": 2.0, "1": 3.0}}]'
+    with pytest.raises(ValueError, match="repeats a key"):
+        loads_records(text)

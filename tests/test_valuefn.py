@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from _exact_oracle import entries
 from nshapley.models import (
     ComponentMap,
     ConstantComponent,
@@ -164,7 +165,7 @@ def test_gam_induced_roundtrip_recovers_components():
         gam = shapley_gam(table)
         expected = comps.component_table(x)
         assert abs(gam.baseline - expected[0]) <= 1e-12
-        for mask, value in gam.values.items():
+        for mask, value in entries(gam).items():
             assert abs(value - expected[mask]) <= 1e-12
 
 
