@@ -33,7 +33,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--order", help="explanation order: integer or 'all'")
     parser.add_argument("--points", help="'all', 'sample:N', or comma-joined row indices")
     parser.add_argument("--out", help="output path")
-    parser.add_argument("--format", choices=["json", "csv", "svg"], help="output format")
+    parser.add_argument("--format", choices=["json", "csv"], help="output format")
     parser.add_argument("--seed", type=int, help="seed for point sampling")
 
 

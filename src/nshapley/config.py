@@ -136,8 +136,8 @@ class RunConfig:
         order = _parse_order(mapping.get("order", "all"))
         points = _parse_points(mapping.get("points", "all"))
         fmt = mapping.get("format", "json")
-        if fmt not in {"json", "csv", "svg"}:
-            raise ConfigError(f"config: format must be json|csv|svg, got {fmt!r}")
+        if fmt not in {"json", "csv"}:
+            raise ConfigError(f"config: format must be json|csv, got {fmt!r}")
         model = mapping["model"]
         value_fn = mapping["value_fn"]
         if isinstance(model, str):
@@ -324,7 +324,7 @@ def build_value_function(
     if vtype == "interventional":
         _require_keys(spec, {"type"}, set(), where)
         return InterventionalValueFunction(model, background)
-    if vtype in {"observational", "observational-exactmatch"}:
+    if vtype == "observational":
         _require_keys(spec, {"type"}, set(), where)
         return ObservationalExactMatchValueFunction(model, dataset.rows)
     if vtype == "gam":
@@ -441,8 +441,6 @@ def run_explain(config: RunConfig, full_order_only: bool = False) -> str:
     Output is a JSON array of per-point, per-order records (or a flat
     CSV), deterministic given the configuration bytes.
     """
-    if config.format == "svg":
-        raise ConfigError("format: svg output comes from the plot command")
     prepared = _prepare(config)
     if full_order_only:
         prepared = _Prepared(
@@ -468,8 +466,6 @@ def run_gam(config: RunConfig) -> str:
 
 def run_degree(config: RunConfig) -> str:
     """Interaction-degree report over the selected points."""
-    if config.format == "svg":
-        raise ConfigError("format: svg output comes from the plot command")
     prepared = _prepare(config)
     gams = [_explain_point(prepared, pid) for pid in prepared.point_ids]
     report = interaction_degree(gams)

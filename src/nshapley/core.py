@@ -53,7 +53,7 @@ PROVENANCE_DIRECT = "direct"
 PROVENANCE_FROM_GAM = "from-gam"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InteractionIndex:
     """Attributions Phi_S for every coalition with 1 <= |S| <= order.
 
@@ -66,7 +66,8 @@ class InteractionIndex:
     produced the numbers ("direct" for the contribution-measure route
     and the plain inversion, "from-gam" for the coefficient route).
     In results files each coalition is keyed by its canonical
-    ``subset_key`` (see ``serialize``).
+    ``subset_key`` (see ``serialize``). Equality is identity; compare
+    numbers with ``np.array_equal(a.values, b.values)``.
     """
 
     dim: int
@@ -108,7 +109,7 @@ class InteractionIndex:
         return float(sum(self.values[self.masks()].tolist()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShapleyGam(InteractionIndex):
     """The order-d index read as a functional decomposition at the point.
 

@@ -19,7 +19,8 @@ Built-ins:
 from __future__ import annotations
 
 import abc
-import queue
+import os
+import selectors
 import shlex
 import subprocess
 import threading
@@ -492,9 +493,12 @@ class ExternalModel(PredictFn):
                           "END"
 
     Floats travel in round-trip decimal form (up to 17 significant
-    digits). A process serves any number of batches and is shut down by
-    closing its stdin. Access is serialised internally; value-table
-    construction batches coalitions so per-call overhead stays amortised.
+    digits); reply lines end in ``\n`` or ``\r\n``. A process serves any
+    number of batches and is shut down by closing its stdin. The timeout
+    covers a whole batch, write and read. Output sent outside a batch's
+    reply fails that batch, and every failure kills the child. Access is
+    serialised internally; value-table construction batches coalitions
+    so per-call overhead stays amortised.
     """
 
     def __init__(self, command: str, dim: int, timeout: float = 60.0):
@@ -508,117 +512,110 @@ class ExternalModel(PredictFn):
             raise ValueError("empty command")
         self._lock = threading.Lock()
         self._proc: subprocess.Popen | None = None
-        self._replies: queue.Queue = queue.Queue()
 
     def _start(self):
         try:
             self._proc = subprocess.Popen(
-                self._argv,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                text=True,
-                bufsize=1,
+                self._argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0
             )
         except OSError as exc:
             raise ProcessFailed(f"could not spawn {self.command!r}: {exc}") from exc
-        # fresh queue per process: a killed predecessor must not leak
-        # stale lines or its EOF sentinel into the new conversation
-        self._replies = queue.Queue()
-        stdout = self._proc.stdout
-        replies = self._replies
+        # a child that stops reading must not block a write past the deadline
+        os.set_blocking(self._proc.stdin.fileno(), False)
 
-        def pump():
-            for line in stdout:
-                replies.put(line)
-            replies.put(None)  # EOF sentinel
-
-        threading.Thread(target=pump, daemon=True).start()
+    def _reap(self, grace: float) -> int:
+        """Wait ``grace`` seconds for the child to exit, then kill it; forget it."""
+        proc, self._proc = self._proc, None
+        try:
+            return proc.wait(timeout=grace)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            return proc.wait()
+        finally:
+            proc.stdin.close()
+            proc.stdout.close()
 
     def _fail(self, message: str) -> ProcessFailed:
-        code = None
-        if self._proc is not None:
-            try:
-                code = self._proc.wait(timeout=1.0)
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
-                code = self._proc.wait()
-        self._proc = None
-        suffix = f" (exit status {code})" if code is not None else ""
-        return ProcessFailed(message + suffix)
+        return ProcessFailed(f"model {self.command!r} {message} (exit status {self._reap(1.0)})")
 
-    def _read_line(self, deadline: float) -> str:
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            self._kill()
-            raise ProtocolTimeout(
-                f"model {self.command!r} exceeded {self.timeout}s for one batch"
-            )
-        try:
-            line = self._replies.get(timeout=remaining)
-        except queue.Empty:
-            self._kill()
-            raise ProtocolTimeout(
-                f"model {self.command!r} exceeded {self.timeout}s for one batch"
-            ) from None
-        if line is None:
-            raise self._fail(f"model {self.command!r} closed its output mid-batch")
-        return line.rstrip("\n")
-
-    def _kill(self):
-        if self._proc is not None:
-            self._proc.kill()
-            self._proc.wait()
-            self._proc = None
+    def _exchange(self, request: memoryview, n: int) -> np.ndarray:
+        """``Popen.communicate`` over open pipes: write, and parse as lines arrive."""
+        deadline = time.monotonic() + self.timeout
+        stdin, stdout = self._proc.stdin.fileno(), self._proc.stdout.fileno()
+        out, partial = np.empty(n), b""
+        sent = lines_read = 0  # request bytes written; reply lines seen, END included
+        with selectors.DefaultSelector() as sel:
+            sel.register(stdout, selectors.EVENT_READ)
+            if sel.select(0):  # output waiting before the request belongs to no batch
+                stray = os.read(stdout, 80)
+                raise self._fail(
+                    f"sent {stray!r} outside a batch's reply" if stray else "closed its output"
+                )
+            sel.register(stdin, selectors.EVENT_WRITE)
+            while True:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    self._reap(0.0)
+                    raise ProtocolTimeout(
+                        f"model {self.command!r} exceeded {self.timeout}s for one batch"
+                    )
+                for key, _ in sel.select(remaining):
+                    if key.fd == stdin:
+                        try:
+                            sent += os.write(stdin, request[sent:])
+                        except BlockingIOError:
+                            continue
+                        except OSError:
+                            raise self._fail("closed its input") from None
+                        if sent == len(request):
+                            sel.unregister(stdin)
+                        continue
+                    chunk = os.read(stdout, 1 << 16)
+                    if not chunk:
+                        raise self._fail("closed its output mid-batch")
+                    data = partial + chunk
+                    cut = data.rfind(b"\n") + 1
+                    partial = data[cut:]
+                    for line in data[:cut].splitlines():  # \n, \r\n or \r, as text mode
+                        if lines_read < n:
+                            try:
+                                out[lines_read] = float(line)
+                            except ValueError:
+                                raise self._fail(
+                                    f"sent malformed reply line {lines_read + 1}: "
+                                    f"{line.decode(errors='replace')!r}"
+                                ) from None
+                        elif lines_read == n and line != b"END":
+                            raise self._fail(
+                                f"sent {line.decode(errors='replace')!r} where END was expected "
+                                f"(reply line {n + 1})"
+                            )
+                        lines_read += 1
+                    if lines_read > n:
+                        if lines_read > n + 1 or partial:
+                            raise self._fail("sent output after END")
+                        if sent < len(request):
+                            raise self._fail("replied before reading its whole request")
+                        return out
 
     def predict_batch(self, points):
         pts = as_points(points, self.dim)
         n = pts.shape[0]
+        lines = [f"{_PROTOCOL_HEADER} {self.dim} {n}"]
+        lines.extend(",".join(repr(v) for v in row) for row in pts.tolist())
+        lines.append("END\n")
+        request = memoryview("\n".join(lines).encode("ascii"))
         with self._lock:
             if self._proc is None:
                 self._start()
-            proc = self._proc
-            request = [f"{_PROTOCOL_HEADER} {self.dim} {n}"]
-            request.extend(",".join(repr(v) for v in row) for row in pts.tolist())
-            request.append("END")
-            try:
-                proc.stdin.write("\n".join(request) + "\n")
-                proc.stdin.flush()
-            except (BrokenPipeError, OSError):
-                raise self._fail(f"model {self.command!r} closed its input") from None
-            deadline = time.monotonic() + self.timeout
-            out = np.empty(n)
-            for i in range(n):
-                line = self._read_line(deadline)
-                try:
-                    out[i] = float(line)
-                except ValueError:
-                    raise self._fail(
-                        f"model {self.command!r} sent malformed reply line "
-                        f"{i + 1}: {line!r}"
-                    ) from None
-            tail = self._read_line(deadline)
-            if tail != "END":
-                raise self._fail(
-                    f"model {self.command!r} sent {tail!r} where END was expected "
-                    f"(reply line {n + 1})"
-                )
-            return out
+            return self._exchange(request, n)
 
     def close(self):
         """Close the child's stdin and wait for it to exit."""
         with self._lock:
-            if self._proc is None:
-                return
-            try:
+            if self._proc is not None:
                 self._proc.stdin.close()
-            except OSError:
-                pass
-            try:
-                self._proc.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
-                self._proc.wait()
-            self._proc = None
+                self._reap(5.0)
 
     def __enter__(self):
         return self

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from nshapley.cli import main
+from nshapley.config import ConfigError, RunConfig, load_config, run_explain
 from nshapley.serialize import read_records
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -148,6 +149,48 @@ def test_unknown_config_key_is_an_error(product_fixture, tmp_path, capsys):
     )
     assert run_cli("explain", "--config", cfg_path) == 2
     assert "ordre" in capsys.readouterr().err
+
+
+def test_svg_is_not_a_results_format(product_fixture, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(
+            "degree",
+            "--data", product_fixture,
+            "--model", json.dumps(PRODUCT_MODEL),
+            "--value-fn", "interventional",
+            "--format", "svg",
+        )
+    assert exc.value.code == 2
+    config = {
+        "data": str(product_fixture),
+        "model": PRODUCT_MODEL,
+        "value_fn": "interventional",
+        "format": "svg",
+    }
+    with pytest.raises(ConfigError, match=r"json\|csv,"):
+        RunConfig.from_mapping(config)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(config))
+    assert run_cli("explain", "--config", cfg_path) == 2
+    assert "format" in capsys.readouterr().err
+
+
+def test_value_fn_types_have_no_aliases(product_fixture, tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(
+        json.dumps(
+            {
+                "data": str(product_fixture),
+                "model": PRODUCT_MODEL,
+                "value_fn": "observational-exactmatch",
+                "points": [4],
+            }
+        )
+    )
+    with pytest.raises(ConfigError, match="unknown type 'observational-exactmatch'"):
+        run_explain(load_config(cfg_path))
+    assert run_cli("explain", "--config", cfg_path) == 2
+    assert "observational-exactmatch" in capsys.readouterr().err
 
 
 def test_csv_format(product_fixture, tmp_path):

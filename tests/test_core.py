@@ -613,3 +613,13 @@ def test_gam_type_requires_full_order():
     assert gam.component(0) == 1.0
     assert gam.component(0b11) == 3.0
     assert gam.prediction() == 7.0
+
+
+def test_index_equality_is_identity():
+    values = scatter(2, {0b01: 1.0, 0b10: 2.0})
+    a = InteractionIndex(dim=2, order=1, baseline=0.5, values=values)
+    b = InteractionIndex(dim=2, order=1, baseline=0.5, values=values)
+    assert a == a and a != b  # no elementwise array comparison
+    assert np.array_equal(a.values, b.values)
+    gam = ShapleyGam(dim=1, order=1, baseline=0.0, values=scatter(1, {0b1: 1.0}))
+    assert gam == gam and len({a, b, gam}) == 3

@@ -1,6 +1,8 @@
 """The child-process model protocol."""
 
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from nshapley.models import ProcessFailed, ProtocolTimeout, external_model
 
 ECHO_FIRST = """\
 import sys
+import threading
+import time
 
 def main():
     while True:
@@ -30,6 +34,8 @@ main()
 
 MALFORMED = """\
 import sys
+import threading
+import time
 header = sys.stdin.readline()
 tag, dim, count = header.split()
 for _ in range(int(count)):
@@ -49,6 +55,8 @@ time.sleep(30)
 
 CRASH = """\
 import sys
+import threading
+import time
 sys.stdin.readline()
 sys.exit(9)
 """
@@ -94,6 +102,7 @@ def test_malformed_reply_cites_line(tmp_path):
     model = external_model(command, dim=2)
     with pytest.raises(ProcessFailed, match="reply line 2"):
         model.predict_batch(np.zeros((3, 2)))
+    assert model._proc is None  # reaped
 
 
 def test_timeout(tmp_path):
@@ -101,6 +110,7 @@ def test_timeout(tmp_path):
     model = external_model(command, dim=2, timeout=0.5)
     with pytest.raises(ProtocolTimeout):
         model.predict_batch(np.zeros((2, 2)))
+    assert model._proc is None
 
 
 def test_nonzero_exit_reported(tmp_path):
@@ -108,6 +118,7 @@ def test_nonzero_exit_reported(tmp_path):
     model = external_model(command, dim=2)
     with pytest.raises(ProcessFailed, match="exit status 9"):
         model.predict_batch(np.zeros((2, 2)))
+    assert model._proc is None
 
 
 def test_unspawnable_command():
@@ -153,3 +164,154 @@ def test_recovers_cleanly_after_timeout(tmp_path):
     out = model.predict_batch(np.array([[2.5], [3.5]]))
     assert list(out) == [2.5, 3.5]
     model.close()
+
+
+HEADER_ONLY = """\
+import sys, time
+sys.stdin.readline()
+time.sleep(60)
+"""
+
+
+def test_timeout_covers_a_blocked_write(tmp_path):
+    # the child stops reading after the header, so the request (far larger
+    # than a pipe buffer) can never be written in full
+    command = _stub(tmp_path, "header_only.py", HEADER_ONLY)
+    model = external_model(command, dim=4, timeout=1.0)
+    outcome = []
+
+    def call():
+        try:
+            model.predict_batch(np.zeros((200_000, 4)))
+        except Exception as exc:
+            outcome.append(exc)
+
+    start = time.monotonic()
+    worker = threading.Thread(target=call, daemon=True)
+    worker.start()
+    worker.join(20)
+    assert not worker.is_alive(), "predict_batch blocked past its deadline"
+    assert len(outcome) == 1 and isinstance(outcome[0], ProtocolTimeout)
+    assert time.monotonic() - start < 10
+    assert model._proc is None
+
+
+DUPLICATE_REPLY = """\
+import sys
+import threading
+import time
+while True:
+    header = sys.stdin.readline()
+    if not header:
+        break
+    _, dim, count = header.split()
+    rows = [sys.stdin.readline() for _ in range(int(count))]
+    sys.stdin.readline()
+    reply = "".join(repr(float(r.split(",")[0])) + "\\n" for r in rows)
+    sys.stdout.write(reply + "END\\n7.0\\nEND\\n")
+    sys.stdout.flush()
+"""
+
+
+def test_reply_after_end_fails_its_batch(tmp_path):
+    command = _stub(tmp_path, "duplicate.py", DUPLICATE_REPLY)
+    model = external_model(command, dim=1)
+    with pytest.raises(ProcessFailed, match="after END"):
+        model.predict_batch(np.array([[3.0]]))
+    assert model._proc is None
+    # the next batch talks to a fresh child and never sees the stray 7.0
+    with pytest.raises(ProcessFailed, match="after END"):
+        model.predict_batch(np.array([[4.0]]))
+    assert model._proc is None
+
+
+STRAY_BETWEEN_BATCHES = """\
+import sys, time
+while True:
+    header = sys.stdin.readline()
+    if not header:
+        break
+    _, dim, count = header.split()
+    rows = [sys.stdin.readline() for _ in range(int(count))]
+    sys.stdin.readline()
+    sys.stdout.write("".join(repr(float(r.split(",")[0])) + "\\n" for r in rows) + "END\\n")
+    sys.stdout.flush()
+    time.sleep(0.1)
+    sys.stdout.write("7.0\\nEND\\n")
+    sys.stdout.flush()
+"""
+
+
+def test_output_between_batches_fails_the_next_batch(tmp_path):
+    command = _stub(tmp_path, "stray.py", STRAY_BETWEEN_BATCHES)
+    model = external_model(command, dim=1)
+    assert list(model.predict_batch(np.array([[3.0]]))) == [3.0]
+    time.sleep(1.0)
+    with pytest.raises(ProcessFailed, match="outside a batch's reply"):
+        model.predict_batch(np.array([[4.0]]))
+    assert model._proc is None
+
+
+EARLY_REPLY = """\
+import sys, time
+_, dim, count = sys.stdin.readline().split()
+sys.stdout.write("0.0\\n" * int(count) + "END\\n")
+sys.stdout.flush()
+time.sleep(60)
+"""
+
+
+def test_reply_before_request_is_read_fails(tmp_path):
+    command = _stub(tmp_path, "early.py", EARLY_REPLY)
+    model = external_model(command, dim=4, timeout=20.0)
+    start = time.monotonic()
+    with pytest.raises(ProcessFailed, match="before reading its whole request"):
+        model.predict_batch(np.zeros((50_000, 4)))
+    assert time.monotonic() - start < 10
+    assert model._proc is None
+
+
+MALFORMED_THEN_SLEEP = """\
+import sys, time
+_, dim, count = sys.stdin.readline().split()
+for _ in range(int(count) + 1):
+    sys.stdin.readline()
+sys.stdout.write("0.5\\noops\\n")
+sys.stdout.flush()
+time.sleep(60)
+"""
+
+
+def test_malformed_line_fails_before_the_deadline(tmp_path):
+    command = _stub(tmp_path, "oops.py", MALFORMED_THEN_SLEEP)
+    model = external_model(command, dim=2, timeout=30.0)
+    start = time.monotonic()
+    with pytest.raises(ProcessFailed, match="reply line 2: 'oops'"):
+        model.predict_batch(np.zeros((3, 2)))
+    assert time.monotonic() - start < 10
+    assert model._proc is None
+
+
+CRLF = """\
+import sys
+import threading
+import time
+while True:
+    header = sys.stdin.buffer.readline()
+    if not header:
+        break
+    _, dim, count = header.split()
+    rows = [sys.stdin.buffer.readline() for _ in range(int(count))]
+    sys.stdin.buffer.readline()
+    reply = b"".join(r.split(b",")[0] + b"\\r\\n" for r in rows)
+    sys.stdout.buffer.write(reply + b"END\\r\\n")
+    sys.stdout.buffer.flush()
+"""
+
+
+def test_crlf_replies_round_trip(tmp_path):
+    command = _stub(tmp_path, "crlf.py", CRLF)
+    pts = np.array([[0.1, 5.0], [-3.75, 5.0], [1e-300, 5.0]])
+    with external_model(command, dim=2) as model:
+        assert np.array_equal(model.predict_batch(pts), pts[:, 0])
+        assert np.array_equal(model.predict_batch(pts[::-1]), pts[::-1, 0])
