@@ -17,7 +17,6 @@ from .core import (
     RecoveryReport,
     ShapleyGam,
     classic_shapley_oracle,
-    delta,
     delta_all,
     n_shapley_all_orders,
     n_shapley_explicit,
@@ -130,7 +129,6 @@ __all__ = [
     "InteractionIndex",
     "ShapleyGam",
     "RecoveryReport",
-    "delta",
     "delta_all",
     "n_shapley_recursive",
     "n_shapley_explicit",

@@ -18,7 +18,8 @@ import argparse
 import json
 import sys
 
-from .config import ConfigError, RunConfig, RunError, run_check, run_degree, run_explain, run_gam, run_plot
+from .config import ConfigError, RunConfig, RunError, read_config_document
+from .config import run_check, run_degree, run_explain, run_gam, run_plot
 from .datasets import DatasetError
 from .models import ProcessFailed, ProtocolTimeout
 from .valuefn import NoMatchingRows
@@ -48,13 +49,7 @@ def _json_or_name(raw: str):
 
 
 def _assemble_config(args: argparse.Namespace) -> RunConfig:
-    base: dict = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        if not isinstance(loaded, dict):
-            raise ConfigError(f"{args.config}: config document must be a JSON object")
-        base.update(loaded)
+    base = read_config_document(args.config) if args.config else {}
     if args.data is not None:
         base["data"] = args.data
     if args.model is not None:
@@ -107,16 +102,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _assemble_config(args)
-        if args.command == "explain":
-            text = run_explain(config)
-            if not config.out:
-                sys.stdout.write(text)
-        elif args.command == "gam":
-            text = run_gam(config)
-            if not config.out:
-                sys.stdout.write(text)
-        elif args.command == "degree":
-            text = run_degree(config)
+        if args.command in ("explain", "gam", "degree"):
+            run = {"explain": run_explain, "gam": run_gam, "degree": run_degree}[args.command]
+            text = run(config)
             if not config.out:
                 sys.stdout.write(text)
         elif args.command == "check":

@@ -23,7 +23,8 @@ and every float is serialized in round-trip form.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -76,6 +77,7 @@ __all__ = [
     "ConfigError",
     "RunError",
     "RunConfig",
+    "read_config_document",
     "load_config",
     "parse_components",
     "build_model",
@@ -104,17 +106,24 @@ def _require_keys(mapping: Mapping, allowed: set[str], required: set[str], where
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
 
 
-_CONFIG_KEYS = {
-    "data",
-    "model",
-    "value_fn",
-    "background",
-    "order",
-    "points",
-    "seed",
-    "out",
-    "format",
-}
+def _number(raw, where: str, kind: type = float):
+    """A finite float or int setting: a JSON number or a numeric string."""
+    try:
+        value = kind(raw)
+        ok = not isinstance(raw, bool) and math.isfinite(value)
+        ok = ok and (kind is float or not isinstance(raw, float) or value == raw)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        expected = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"{where}: expected {expected}, got {raw!r}")
+    return value
+
+
+def _numbers(raw, where: str, kind: type = float) -> tuple:
+    if isinstance(raw, (str, bytes)) or not isinstance(raw, Sequence):
+        raise ConfigError(f"{where}: expected a list, got {raw!r}")
+    return tuple(_number(item, where, kind) for item in raw)
 
 
 @dataclass(frozen=True)
@@ -138,52 +147,42 @@ class RunConfig:
         fmt = mapping.get("format", "json")
         if fmt not in {"json", "csv"}:
             raise ConfigError(f"config: format must be json|csv, got {fmt!r}")
-        model = mapping["model"]
-        value_fn = mapping["value_fn"]
-        if isinstance(model, str):
-            model = {"type": model}
-        if isinstance(value_fn, str):
-            value_fn = {"type": value_fn}
-        if not isinstance(model, Mapping) or "type" not in model:
-            raise ConfigError("config: model must be an object with a 'type'")
-        if not isinstance(value_fn, Mapping) or "type" not in value_fn:
-            raise ConfigError("config: value_fn must be an object with a 'type'")
         return cls(
             data=str(mapping["data"]),
-            model=dict(model),
-            value_fn=dict(value_fn),
+            model=_typed_spec(mapping["model"], "model"),
+            value_fn=_typed_spec(mapping["value_fn"], "value_fn"),
             background=background,
             order=order,
             points=points,
-            seed=int(mapping.get("seed", 0)),
+            seed=_number(mapping.get("seed", 0), "seed", int),
             out=mapping.get("out"),
             format=fmt,
         )
 
 
+_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
+
+
+def _typed_spec(raw, where: str) -> dict:
+    spec = {"type": raw} if isinstance(raw, str) else raw
+    if not isinstance(spec, Mapping) or "type" not in spec:
+        raise ConfigError(f"config: {where} must be an object with a 'type'")
+    return dict(spec)
+
+
 def _parse_background(raw) -> str | tuple[int, int]:
     if raw == "all":
         return "all"
-    if isinstance(raw, str):
-        parts = raw.split(":")
-        if len(parts) != 2:
-            raise ConfigError(f"background: expected 'all' or 'start:stop', got {raw!r}")
-        try:
-            return (int(parts[0]), int(parts[1]))
-        except ValueError:
-            raise ConfigError(f"background: bad row range {raw!r}") from None
-    if isinstance(raw, Sequence) and len(raw) == 2:
-        return (int(raw[0]), int(raw[1]))
-    raise ConfigError(f"background: expected 'all' or a [start, stop] pair, got {raw!r}")
+    parts = raw.split(":") if isinstance(raw, str) else raw
+    if isinstance(parts, Sequence) and len(parts) == 2:
+        return _numbers(parts, "background", int)
+    raise ConfigError(f"background: expected 'all', 'start:stop' or [start, stop], got {raw!r}")
 
 
 def _parse_order(raw) -> int | str:
     if raw == "all":
         return "all"
-    try:
-        order = int(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"order: expected 'all' or an integer, got {raw!r}") from None
+    order = _number(raw, "order", int)
     if order < 1:
         raise ConfigError(f"order: must be >= 1, got {order}")
     return order
@@ -192,33 +191,29 @@ def _parse_order(raw) -> int | str:
 def _parse_points(raw) -> str | tuple[int, ...]:
     if raw == "all":
         return "all"
-    if isinstance(raw, str):
-        if raw.startswith("sample:"):
-            try:
-                count = int(raw.split(":", 1)[1])
-            except ValueError:
-                raise ConfigError(f"points: bad sample size in {raw!r}") from None
-            if count < 1:
-                raise ConfigError("points: sample size must be >= 1")
-            return raw
-        try:
-            return tuple(int(p) for p in raw.split(","))
-        except ValueError:
-            raise ConfigError(f"points: expected 'all', 'sample:N' or indices, got {raw!r}") from None
-    if isinstance(raw, Sequence):
-        return tuple(int(p) for p in raw)
-    raise ConfigError(f"points: expected 'all', 'sample:N' or a list, got {raw!r}")
+    if isinstance(raw, str) and raw.startswith("sample:"):
+        if _number(raw.split(":", 1)[1], "points: sample size", int) < 1:
+            raise ConfigError("points: sample size must be >= 1")
+        return raw
+    return _numbers(raw.split(",") if isinstance(raw, str) else raw, "points", int)
+
+
+def read_config_document(path) -> dict:
+    """The JSON object in a config file; an unreadable file is a ``ConfigError``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{path}: the config document must be a JSON object")
+    return payload
 
 
 def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ConfigError(f"{path}: the config document must be a JSON object")
-    return RunConfig.from_mapping(payload)
+    return RunConfig.from_mapping(read_config_document(path))
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +227,16 @@ def _parse_factor(spec: Mapping, where: str):
     kind = spec["kind"]
     if kind == "poly":
         _require_keys(spec, {"kind", "coeffs"}, {"coeffs"}, where)
-        return PolyFactor(tuple(float(c) for c in spec["coeffs"]))
+        return PolyFactor(_numbers(spec["coeffs"], f"{where}: coeffs"))
     if kind == "sine":
         _require_keys(spec, {"kind", "frequency", "phase"}, set(), where)
-        return SineFactor(float(spec.get("frequency", 1.0)), float(spec.get("phase", 0.0)))
+        return SineFactor(
+            _number(spec.get("frequency", 1.0), f"{where}: frequency"),
+            _number(spec.get("phase", 0.0), f"{where}: phase"),
+        )
     if kind == "step":
         _require_keys(spec, {"kind", "threshold"}, set(), where)
-        return StepFactor(float(spec.get("threshold", 0.0)))
+        return StepFactor(_number(spec.get("threshold", 0.0), f"{where}: threshold"))
     raise ConfigError(f"{where}: unknown factor kind {kind!r}")
 
 
@@ -249,26 +247,27 @@ def _parse_component(spec: Mapping, index: int):
     ctype = spec["type"]
     if ctype == "constant":
         _require_keys(spec, {"type", "value"}, {"value"}, where)
-        return ConstantComponent(float(spec["value"]))
+        return ConstantComponent(_number(spec["value"], f"{where}: value"))
     if ctype == "term":
         _require_keys(spec, {"type", "features", "factors", "coefficient"}, {"features", "factors"}, where)
-        features = tuple(int(i) for i in spec["features"])
+        features = _numbers(spec["features"], f"{where}: features", int)
         factors = tuple(_parse_factor(f, where) for f in spec["factors"])
-        return ProductComponent(features, factors, float(spec.get("coefficient", 1.0)))
+        coefficient = _number(spec.get("coefficient", 1.0), f"{where}: coefficient")
+        return ProductComponent(features, factors, coefficient)
     if ctype == "lookup":
         _require_keys(spec, {"type", "features", "lo", "hi", "values"}, {"features", "lo", "hi", "values"}, where)
-        return LookupComponent(
-            tuple(int(i) for i in spec["features"]), spec["lo"], spec["hi"], spec["values"]
-        )
+        features = _numbers(spec["features"], f"{where}: features", int)
+        return LookupComponent(features, spec["lo"], spec["hi"], spec["values"])
     raise ConfigError(f"{where}: unknown component type {ctype!r}")
 
 
 def parse_components(specs, dim: int) -> ComponentMap:
     if not isinstance(specs, Sequence) or isinstance(specs, (str, bytes)):
         raise ConfigError("components must be a list of component objects")
-    comps = [_parse_component(spec, i) for i, spec in enumerate(specs)]
     try:
-        return ComponentMap(dim, comps)
+        return ComponentMap(dim, [_parse_component(spec, i) for i, spec in enumerate(specs)])
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"components: {exc}") from exc
 
@@ -288,6 +287,14 @@ def model_label_column(model_spec: Mapping) -> str | None:
     return None
 
 
+def _construct(build, *args, **kwargs):
+    """Call a model constructor; a value it rejects is a config error."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"model: {exc}") from exc
+
+
 def build_model(spec: Mapping, dataset: Dataset) -> PredictFn:
     mtype = spec.get("type")
     where = "model"
@@ -296,23 +303,19 @@ def build_model(spec: Mapping, dataset: Dataset) -> PredictFn:
         return additive_model(parse_components(spec["components"], dataset.dim))
     if mtype == "checkerboard":
         _require_keys(spec, {"type", "granularity", "active"}, set(), where)
+        granularity = _number(spec.get("granularity", 2), "model: granularity", int)
         active = spec.get("active")
-        cb_spec = CheckerboardSpec(
-            dim=dataset.dim,
-            granularity=int(spec.get("granularity", 2)),
-            active=None if active is None else tuple(int(i) for i in active),
-        )
-        return checkerboard(cb_spec)
+        active = None if active is None else _numbers(active, "model: active", int)
+        return checkerboard(_construct(CheckerboardSpec, dataset.dim, granularity, active))
     if mtype == "knn":
         _require_keys(spec, {"type", "k", "label"}, {"k", "label"}, where)
         if dataset.labels is None:
             raise ConfigError("model: knn needs the dataset loaded with its label column")
-        return knn_model(dataset.rows, dataset.labels, int(spec["k"]))
+        return _construct(knn_model, dataset.rows, dataset.labels, _number(spec["k"], "model: k", int))
     if mtype == "external":
         _require_keys(spec, {"type", "command", "timeout"}, {"command"}, where)
-        return external_model(
-            str(spec["command"]), dataset.dim, timeout=float(spec.get("timeout", 60.0))
-        )
+        timeout = _number(spec.get("timeout", 60.0), "model: timeout")
+        return _construct(external_model, str(spec["command"]), dataset.dim, timeout=timeout)
     raise ConfigError(f"model: unknown type {mtype!r}")
 
 
@@ -443,13 +446,7 @@ def run_explain(config: RunConfig, full_order_only: bool = False) -> str:
     """
     prepared = _prepare(config)
     if full_order_only:
-        prepared = _Prepared(
-            dataset=prepared.dataset,
-            model=prepared.model,
-            value_fn=prepared.value_fn,
-            point_ids=prepared.point_ids,
-            orders=[prepared.dataset.dim],
-        )
+        prepared = replace(prepared, orders=[prepared.dataset.dim])
     per_point = [_indices_for_point(prepared, pid) for pid in prepared.point_ids]
     if config.format == "csv":
         text = _records_csv(prepared.point_ids, per_point)
@@ -497,7 +494,7 @@ def run_check(config: RunConfig, tol: float = 1e-9) -> tuple[str, bool]:
     """Efficiency, dual-path and recovery suites on the configured run.
 
     Returns the report text and whether every check passed. The slow
-    cross-validation routes are exercised up to dim 10 and the
+    cross-validation routes run once per point, up to dim 10, and the
     brute-force per-feature oracle up to dim 12.
     """
     prepared = _prepare(config)
@@ -526,9 +523,11 @@ def run_check(config: RunConfig, tol: float = 1e-9) -> tuple[str, bool]:
         recon = abs(gam.prediction() - float(table.values[-1]))
         record(f"decomposition-sum point={pid}", recon <= tol * scale, f"gap={recon:.3e}")
         if d <= 10:
+            recursive = n_shapley_recursive(table, max(prepared.orders))
+            explicit = n_shapley_explicit(table, max(prepared.orders))
             for order, combined in indices.items():
-                direct = n_shapley_recursive(table, order).values
-                unrolled = n_shapley_explicit(table, order).values
+                direct = recursive[order - 1].values
+                unrolled = explicit[order - 1].values
                 gap = float(
                     max(np.abs(direct - combined.values).max(), np.abs(direct - unrolled).max())
                 )
@@ -540,9 +539,9 @@ def run_check(config: RunConfig, tol: float = 1e-9) -> tuple[str, bool]:
             order_one = indices[1] if 1 in indices else n_shapley_from_gam(gam, 1)
             gap = float(np.abs(order_one.values[1 << np.arange(d)] - oracle).max())
             record(f"order-1-oracle point={pid}", gap <= tol, f"gap={gap:.3e}")
-        for order in prepared.orders:
+        for order, phi in indices.items():
             if order < d:
-                report = recovery_check(gam, order)
+                report = recovery_check(gam, phi)
                 lines.append(
                     f"INFO  recovery point={pid} order={order}  "
                     f"max-above-order={report.max_component_above_order:.3e} "

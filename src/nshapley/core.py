@@ -12,11 +12,12 @@ Terminology used throughout:
   1 <= |S| <= n. Order 1 is the classic per-feature attribution, order
   d is the decomposition itself.
 
-The production route is value table -> inversion -> linear combination
+The serving route is value table -> inversion -> linear combination
 with exact mixing coefficients (O(d * 2**d) plus one sweep per
-cardinality). The direct route through the contribution measure and the
-Bernoulli-weighted recursion costs O(4**d) and is kept as an
-independent cross-check of the fast path.
+cardinality). The last section holds what only ``nshapley check`` and
+the tests use to cross-check it: the O(4**d) contribution measure, the
+two routes through it (recursion and closed sum), the brute-force
+per-feature oracle and the recovery report.
 """
 
 from __future__ import annotations
@@ -36,15 +37,14 @@ from .valuefn import ValueTable
 __all__ = [
     "InteractionIndex",
     "ShapleyGam",
-    "RecoveryReport",
-    "delta",
-    "delta_all",
-    "n_shapley_recursive",
-    "n_shapley_explicit",
     "shapley_gam",
     "n_shapley_from_gam",
     "n_shapley_all_orders",
     "reduce_order",
+    "RecoveryReport",
+    "delta_all",
+    "n_shapley_recursive",
+    "n_shapley_explicit",
     "classic_shapley_oracle",
     "recovery_check",
 ]
@@ -132,23 +132,6 @@ class ShapleyGam(InteractionIndex):
 
 
 @lru_cache(maxsize=None)
-def _delta_weights(dim: int) -> np.ndarray:
-    """weights[s, t] = (d-t-s)! t! / (d-s+1)! as float64, exact before rounding.
-
-    Factorial ratios are formed as rationals and rounded once; float
-    factorial quotients lose integer exactness near d = 19.
-    """
-    w = np.zeros((dim + 1, dim + 1))
-    for s in range(dim + 1):
-        for t in range(dim - s + 1):
-            w[s, t] = float(
-                Fraction(factorial(dim - t - s) * factorial(t), factorial(dim - s + 1))
-            )
-    w.flags.writeable = False
-    return w
-
-
-@lru_cache(maxsize=None)
 def _bernoulli_floats(n: int) -> np.ndarray:
     out = np.array([float(bernoulli(k)) for k in range(n + 1)])
     out.flags.writeable = False
@@ -166,44 +149,6 @@ def _mixing_matrix(dim: int) -> np.ndarray:
     return out
 
 
-def delta(table: ValueTable, subset: int) -> float:
-    """Contribution measure of one nonempty coalition.
-
-    The factorially weighted double subset sum over the raw value
-    table: for each outside coalition T, the alternating sum over
-    L within S of v(L | T), weighted by (d-|T|-|S|)! |T|! / (d-|S|+1)!.
-    Equals the harmonically discounted sum of all decomposition
-    components containing S.
-    """
-    if subset == 0:
-        raise ValueError("the contribution measure is defined for nonempty subsets")
-    d = table.dim
-    if subset >> d:
-        raise ValueError(f"subset {subset_key(subset)!r} out of range for dim={d}")
-    weights = _delta_weights(d)
-    v = table.values
-    s = popcount(subset)
-    comp = ((1 << d) - 1) ^ subset
-    acc = 0.0
-    for t_mask in iter_submasks(comp):
-        inner = 0.0
-        for l_mask in iter_submasks(subset):
-            if (s - popcount(l_mask)) & 1:
-                inner -= v[l_mask | t_mask]
-            else:
-                inner += v[l_mask | t_mask]
-        acc += weights[s, popcount(t_mask)] * inner
-    return acc
-
-
-def delta_all(table: ValueTable) -> np.ndarray:
-    """Contribution measure for every nonempty mask (index 0 stays 0).
-
-    O(4**dim); this feeds the slow cross-validation routes only.
-    """
-    return _kernels.delta_weighted(table.values, table.dim, _delta_weights(table.dim))
-
-
 def _supersets_by_cardinality(dense: np.ndarray, dim: int) -> np.ndarray:
     """Row c holds, per mask S, the sum of dense[T] over supersets T with |T| = c."""
     pc = _kernels.popcount_table(dim)
@@ -212,82 +157,6 @@ def _supersets_by_cardinality(dense: np.ndarray, dim: int) -> np.ndarray:
         layer = np.where(pc == c, dense, 0.0)
         out[c] = _kernels.zeta_supersets(layer, dim)
     return out
-
-
-def n_shapley_recursive(table: ValueTable, order: int) -> InteractionIndex:
-    """Order-n index by the literal Bernoulli-weighted recursion.
-
-    Level n assigns the contribution measure to coalitions of size n
-    and corrects every smaller coalition of the level-(n-1) index by
-    B_(n-|S|) times the sum of the measures of its size-n supersets.
-    Kept as the slow independent route; agreement with the coefficient
-    route is the core correctness check of this package.
-    """
-    d = table.dim
-    if not 1 <= order <= d:
-        raise ValueError(f"order must be in [1, dim={d}], got {order}")
-    deltas = delta_all(table)
-    pc = _kernels.popcount_table(d)
-    bern = _bernoulli_floats(d)
-    full = (1 << d) - 1
-    cur = np.zeros(deltas.size)
-    singles = np.flatnonzero(pc == 1)
-    cur[singles] = deltas[singles]
-    for level in range(2, order + 1):
-        new = np.zeros(deltas.size)
-        for mask in range(1, deltas.size):
-            s = int(pc[mask])
-            if s > level:
-                continue
-            if s == level:
-                new[mask] = deltas[mask]
-                continue
-            acc = 0.0
-            want = level - s
-            for k_mask in iter_submasks(full ^ mask):
-                if popcount(k_mask) == want:
-                    acc += deltas[mask | k_mask]
-            new[mask] = cur[mask] + bern[want] * acc
-        cur = new
-    return InteractionIndex(
-        dim=d,
-        order=order,
-        baseline=float(table.values[0]),
-        values=cur,
-        point=table.point,
-        provenance=PROVENANCE_DIRECT,
-    )
-
-
-def n_shapley_explicit(table: ValueTable, order: int) -> InteractionIndex:
-    """Order-n index by the closed Bernoulli-weighted sum over the
-    contribution measure: Phi_S = sum_k B_k * (sum of measures of the
-    supersets of S at distance k), k up to order - |S|.
-
-    Unrolls the recursion; must agree with it entrywise.
-    """
-    d = table.dim
-    if not 1 <= order <= d:
-        raise ValueError(f"order must be in [1, dim={d}], got {order}")
-    deltas = delta_all(table)
-    bycard = _supersets_by_cardinality(deltas, d)
-    pc = _kernels.popcount_table(d)
-    bern = _bernoulli_floats(d)
-    phi = np.zeros(deltas.size)
-    for s in range(1, order + 1):
-        masks = np.flatnonzero(pc == s)
-        acc = bycard[s][masks].copy()  # k = 0 term, B_0 = 1
-        for k in range(1, order - s + 1):
-            acc += bern[k] * bycard[s + k][masks]
-        phi[masks] = acc
-    return InteractionIndex(
-        dim=d,
-        order=order,
-        baseline=float(table.values[0]),
-        values=phi,
-        point=table.point,
-        provenance=PROVENANCE_DIRECT,
-    )
 
 
 def shapley_gam(table: ValueTable) -> ShapleyGam:
@@ -394,6 +263,112 @@ def reduce_order(phi: InteractionIndex, order: int) -> InteractionIndex:
     )
 
 
+
+
+# ---------------------------------------------------------------------------
+# Cross-check routes: used by ``nshapley check`` and the tests only
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _delta_weights(dim: int) -> np.ndarray:
+    """weights[s, t] = (d-t-s)! t! / (d-s+1)! as float64, exact before rounding.
+
+    Factorial ratios are formed as rationals and rounded once; float
+    factorial quotients lose integer exactness near d = 19.
+    """
+    w = np.zeros((dim + 1, dim + 1))
+    for s in range(dim + 1):
+        for t in range(dim - s + 1):
+            w[s, t] = float(
+                Fraction(factorial(dim - t - s) * factorial(t), factorial(dim - s + 1))
+            )
+    w.flags.writeable = False
+    return w
+
+
+def delta_all(table: ValueTable) -> np.ndarray:
+    """Contribution measure of every nonempty coalition (index 0 stays 0).
+
+    For each S, the factorially weighted double subset sum over the raw
+    value table: for each outside coalition T, the alternating sum over
+    L within S of v(L | T), weighted by (d-|T|-|S|)! |T|! / (d-|S|+1)!.
+    Equals the harmonically discounted sum of all decomposition
+    components containing S. O(4**dim).
+    """
+    return _kernels.delta_weighted(table.values, table.dim, _delta_weights(table.dim))
+
+
+def _direct_indices(table: ValueTable, levels: list[np.ndarray]) -> list[InteractionIndex]:
+    return [
+        InteractionIndex(
+            dim=table.dim,
+            order=order,
+            baseline=float(table.values[0]),
+            values=values,
+            point=table.point,
+            provenance=PROVENANCE_DIRECT,
+        )
+        for order, values in enumerate(levels, start=1)
+    ]
+
+
+def n_shapley_recursive(table: ValueTable, max_order: int) -> list[InteractionIndex]:
+    """Indices of orders 1..max_order by the literal Bernoulli-weighted recursion.
+
+    Level n assigns the contribution measure to coalitions of size n
+    and corrects every smaller coalition of the level-(n-1) index by
+    B_(n-|S|) times the sum of the measures of its size-n supersets.
+    Each level is built once from the one before.
+    """
+    d = table.dim
+    if not 1 <= max_order <= d:
+        raise ValueError(f"order must be in [1, dim={d}], got {max_order}")
+    deltas = delta_all(table)
+    pc = _kernels.popcount_table(d)
+    bern = _bernoulli_floats(d)
+    full = (1 << d) - 1
+    levels = [np.where(pc == 1, deltas, 0.0)]
+    for level in range(2, max_order + 1):
+        cur = np.where(pc == level, deltas, 0.0)
+        for mask in np.flatnonzero((pc >= 1) & (pc < level)).tolist():
+            acc = 0.0
+            want = level - int(pc[mask])
+            for k_mask in iter_submasks(full ^ mask):
+                if popcount(k_mask) == want:
+                    acc += deltas[mask | k_mask]
+            cur[mask] = levels[-1][mask] + bern[want] * acc
+        levels.append(cur)
+    return _direct_indices(table, levels)
+
+
+def n_shapley_explicit(table: ValueTable, max_order: int) -> list[InteractionIndex]:
+    """Indices of orders 1..max_order by the closed Bernoulli-weighted sum
+    over the contribution measure: Phi_S = sum_k B_k * (sum of measures of
+    the supersets of S at distance k), k up to order - |S|.
+
+    Unrolls the recursion; must agree with it entrywise. The order-n
+    sum for S is the order-(n-1) sum plus one term, so one superset
+    sweep serves every order.
+    """
+    d = table.dim
+    if not 1 <= max_order <= d:
+        raise ValueError(f"order must be in [1, dim={d}], got {max_order}")
+    deltas = delta_all(table)
+    bycard = _supersets_by_cardinality(deltas, d)
+    pc = _kernels.popcount_table(d)
+    bern = _bernoulli_floats(d)
+    levels = [np.zeros(deltas.size) for _ in range(max_order)]
+    for s in range(1, max_order + 1):
+        masks = np.flatnonzero(pc == s)
+        acc = bycard[s][masks].copy()  # k = 0 term, B_0 = 1
+        levels[s - 1][masks] = acc
+        for k in range(1, max_order - s + 1):
+            acc += bern[k] * bycard[s + k][masks]
+            levels[s + k - 1][masks] = acc
+    return _direct_indices(table, levels)
+
+
 def classic_shapley_oracle(table: ValueTable) -> np.ndarray:
     """Per-feature attributions by the textbook permutation-weighted sum.
 
@@ -442,17 +417,15 @@ class RecoveryReport:
         return self.max_component_above_order <= tol
 
 
-def recovery_check(gam: ShapleyGam, order: int) -> RecoveryReport:
-    """Measure the above-order component mass and the attribution gap."""
-    if not 1 <= order <= gam.dim:
-        raise ValueError(f"order must be in [1, dim={gam.dim}], got {order}")
-    above = np.where(_kernels.popcount_table(gam.dim) > order, np.abs(gam.values), 0.0)
+def recovery_check(gam: ShapleyGam, phi: InteractionIndex) -> RecoveryReport:
+    """Above-order component mass and attribution gap of ``gam`` against
+    its order-n index ``phi``, as ``n_shapley_from_gam(gam, n)`` returns it."""
+    above = np.where(_kernels.popcount_table(gam.dim) > phi.order, np.abs(gam.values), 0.0)
     worst_mask = int(np.argmax(above))
-    phi = n_shapley_from_gam(gam, order)
     gap = np.abs(phi.values - gam.values)[phi.masks()].max()
     return RecoveryReport(
         dim=gam.dim,
-        order=order,
+        order=phi.order,
         max_component_above_order=float(above[worst_mask]),
         worst_subset_above_order=worst_mask,
         max_attribution_gap=float(gap),

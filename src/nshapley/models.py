@@ -496,7 +496,8 @@ class ExternalModel(PredictFn):
     digits); reply lines end in ``\n`` or ``\r\n``. A process serves any
     number of batches and is shut down by closing its stdin. The timeout
     covers a whole batch, write and read. Output sent outside a batch's
-    reply fails that batch, and every failure kills the child. Access is
+    reply fails that batch, and every failure ends the child (stdin
+    closed, killed if still running after a grace period). Access is
     serialised internally; value-table construction batches coalitions
     so per-call overhead stays amortised.
     """
@@ -524,15 +525,15 @@ class ExternalModel(PredictFn):
         os.set_blocking(self._proc.stdin.fileno(), False)
 
     def _reap(self, grace: float) -> int:
-        """Wait ``grace`` seconds for the child to exit, then kill it; forget it."""
+        """Close stdin, wait ``grace`` seconds for the child to exit, then kill it; forget it."""
         proc, self._proc = self._proc, None
+        proc.stdin.close()
         try:
             return proc.wait(timeout=grace)
         except subprocess.TimeoutExpired:
             proc.kill()
             return proc.wait()
         finally:
-            proc.stdin.close()
             proc.stdout.close()
 
     def _fail(self, message: str) -> ProcessFailed:
@@ -614,7 +615,6 @@ class ExternalModel(PredictFn):
         """Close the child's stdin and wait for it to exit."""
         with self._lock:
             if self._proc is not None:
-                self._proc.stdin.close()
                 self._reap(5.0)
 
     def __enter__(self):

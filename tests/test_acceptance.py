@@ -140,9 +140,11 @@ def test_criterion_05_dual_path_equivalence():
         dim = 2 + trial % 7  # cycles 2..8
         table = random_table(rng, dim)
         gam = shapley_gam(table)
+        recursive_all = n_shapley_recursive(table, dim)
+        explicit_all = n_shapley_explicit(table, dim)
         for order in range(1, dim + 1):
-            recursive = n_shapley_recursive(table, order)
-            explicit = n_shapley_explicit(table, order)
+            recursive = recursive_all[order - 1]
+            explicit = explicit_all[order - 1]
             combined = gam if order == dim else n_shapley_from_gam(gam, order)
             for mask in recursive.masks().tolist():
                 a = recursive.values[mask]

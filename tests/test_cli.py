@@ -193,6 +193,66 @@ def test_value_fn_types_have_no_aliases(product_fixture, tmp_path, capsys):
     assert "observational-exactmatch" in capsys.readouterr().err
 
 
+def _product_config(product_fixture, **changes):
+    config = {
+        "data": str(product_fixture),
+        "model": PRODUCT_MODEL,
+        "value_fn": "interventional",
+        "background": "0:4",
+        "order": 1,
+        "points": [4],
+    }
+    config.update(changes)
+    return config
+
+
+def _poly_model(coeffs):
+    factor = {"kind": "poly", "coeffs": coeffs}
+    term = {"type": "term", "features": [0], "factors": [factor]}
+    return {"type": "additive", "components": [term]}
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"model": {"type": "checkerboard", "granularity": "x"}}, "granularity"),
+        ({"model": {"type": "checkerboard", "granularity": 3}}, "granularity"),
+        ({"model": _poly_model([0, "q"])}, "'q'"),
+        ({"background": [0, "z"]}, "'z'"),
+        ({"seed": "abc"}, "'abc'"),
+        ({"order": 2.7}, "2.7"),
+        ({"points": [0.9]}, "0.9"),
+    ],
+    ids=["granularity-x", "granularity-3", "coeff-q", "background-z", "seed-abc",
+         "order-2.7", "points-0.9"],
+)
+def test_config_values_of_the_wrong_type_or_range_are_clean_errors(
+    changes, message, product_fixture, tmp_path, capsys
+):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(_product_config(product_fixture, **changes)))
+    assert run_cli("gam", "--config", cfg_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nshapley: error: ")
+    assert message in err
+
+
+@pytest.mark.parametrize("kind", ["truncated", "directory", "missing", "array"])
+def test_unreadable_config_files_are_clean_errors(kind, product_fixture, tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    text = json.dumps(_product_config(product_fixture))
+    if kind == "truncated":
+        cfg_path.write_text(text[: len(text) // 2])
+    elif kind == "directory":
+        cfg_path.mkdir()
+    elif kind == "array":
+        cfg_path.write_text(json.dumps([text]))
+    with pytest.raises(ConfigError):
+        load_config(cfg_path)
+    assert run_cli("gam", "--config", cfg_path) == 2
+    assert capsys.readouterr().err.startswith(f"nshapley: error: {cfg_path}: ")
+
+
 def test_csv_format(product_fixture, tmp_path):
     out = tmp_path / "results.csv"
     assert (
@@ -293,6 +353,30 @@ def test_check_subcommand_passes(product_fixture, capsys):
     assert "FAIL" not in out
     assert "dual-path" in out
     assert "order-1-oracle" in out
+
+
+def test_single_order_check_lines_appear_in_the_all_orders_check(monkeypatch, capsys):
+    # the golden fixture: 5 features, two points, all orders
+    monkeypatch.chdir(REPO_ROOT / "tests" / "golden")
+    assert run_cli("check", "--config", "run.json") == 0
+    everything = capsys.readouterr().out.splitlines()
+    for order in range(1, 6):
+        assert run_cli("check", "--config", "run.json", "--order", order) == 0
+        single = capsys.readouterr().out.splitlines()
+        assert any(f"order={order}" in line for line in single)
+        remaining = iter(everything)
+        assert all(line in remaining for line in single), order
+
+
+def test_check_runs_each_cross_check_route_once_per_point(monkeypatch, capsys):
+    from nshapley import core
+
+    dims = []
+    delta_all = core.delta_all
+    monkeypatch.setattr(core, "delta_all", lambda table: dims.append(table.dim) or delta_all(table))
+    monkeypatch.chdir(REPO_ROOT / "tests" / "golden")
+    assert run_cli("check", "--config", "run.json") == 0
+    assert dims == [5] * 4  # two points, one measure sweep per route each
 
 
 def test_plot_bars_single_file(product_fixture, tmp_path):

@@ -10,7 +10,6 @@ from nshapley.core import (
     InteractionIndex,
     ShapleyGam,
     classic_shapley_oracle,
-    delta,
     delta_all,
     n_shapley_all_orders,
     n_shapley_explicit,
@@ -69,8 +68,9 @@ def test_delta_singletons_reduce_to_per_feature_attributions():
     rng = np.random.default_rng(1)
     table = random_table(rng, 6)
     oracle = classic_shapley_oracle(table)
+    deltas = delta_all(table)
     for i in range(6):
-        assert delta(table, 1 << i) == pytest.approx(oracle[i], abs=1e-9)
+        assert deltas[1 << i] == pytest.approx(oracle[i], abs=1e-9)
 
 
 def test_delta_on_single_component_decomposition():
@@ -79,28 +79,32 @@ def test_delta_on_single_component_decomposition():
     top = mask_from_indices([0, 2, 3])
     weight = 2.5
     table = single_component_table(dim, top, weight)
+    deltas = delta_all(table)
     for mask in range(1, 1 << dim):
         expected = 0.0
         if mask & top == mask:  # S inside T
             expected = weight / (1 + popcount(top) - popcount(mask))
-        assert delta(table, mask) == pytest.approx(expected, abs=1e-12)
+        assert deltas[mask] == pytest.approx(expected, abs=1e-12)
 
 
 def test_delta_constant_table_is_zero():
     table = ValueTable(SubsetTable(3, np.full(8, 4.2)), np.zeros(3))
+    deltas = delta_all(table)
     for mask in range(1, 8):
-        assert delta(table, mask) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        delta(table, 0)
+        assert deltas[mask] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_delta_all_matches_scalar_delta():
+    # the scalar reference is the exact-rational measure of one coalition
+    from _exact_oracle import fr_delta
+
     rng = np.random.default_rng(2)
     table = random_table(rng, 7)
+    values = [Fraction(float(v)) for v in table.values]
     dense = delta_all(table)
     assert dense[0] == 0.0
     for mask in range(1, 1 << 7):
-        assert dense[mask] == pytest.approx(delta(table, mask), abs=1e-12)
+        assert dense[mask] == pytest.approx(float(fr_delta(values, 7, mask)), abs=1e-12)
 
 
 def test_delta_matches_exact_oracle():
@@ -113,8 +117,9 @@ def test_delta_matches_exact_oracle():
     table = ValueTable(
         SubsetTable(dim, np.array([float(v) for v in values])), np.zeros(dim)
     )
+    deltas = delta_all(table)
     for mask in (1, 3, 21, 30):
-        assert delta(table, mask) == pytest.approx(
+        assert deltas[mask] == pytest.approx(
             float(fr_delta(values, dim, mask)), abs=1e-12
         )
 
@@ -130,7 +135,7 @@ def test_order_one_is_the_classic_attribution():
         table = random_table(rng, 6)
         oracle = classic_shapley_oracle(table)
         for build in (n_shapley_recursive, n_shapley_explicit):
-            phi = build(table, 1)
+            [phi] = build(table, 1)
             for i in range(6):
                 assert phi.value(1 << i) == pytest.approx(oracle[i], abs=1e-9)
         combined = n_shapley_from_gam(shapley_gam(table), 1)
@@ -138,12 +143,27 @@ def test_order_one_is_the_classic_attribution():
             assert combined.value(1 << i) == pytest.approx(oracle[i], abs=1e-9)
 
 
+def test_routes_return_every_order_up_to_the_maximum():
+    rng = np.random.default_rng(25)
+    table = random_table(rng, 6)
+    for build in (n_shapley_recursive, n_shapley_explicit):
+        everything = build(table, 6)
+        assert [ix.order for ix in everything] == [1, 2, 3, 4, 5, 6]
+        for order in range(1, 7):
+            shorter = build(table, order)
+            assert [ix.order for ix in shorter] == list(range(1, order + 1))
+            assert np.array_equal(shorter[-1].values, everything[order - 1].values)
+        for bad in (0, 7):
+            with pytest.raises(ValueError):
+                build(table, bad)
+
+
 def test_full_order_recursion_equals_inversion():
     rng = np.random.default_rng(5)
     for dim in (1, 2, 4, 6):
         table = random_table(rng, dim)
         gam = shapley_gam(table)
-        direct = n_shapley_recursive(table, dim)
+        direct = n_shapley_recursive(table, dim)[dim - 1]
         assert max_gap(direct, gam) <= 1e-9
         assert abs(direct.baseline - gam.baseline) <= 1e-12
 
@@ -152,7 +172,7 @@ def test_constant_model_gives_all_zero_indices():
     table = ValueTable(SubsetTable(4, np.full(16, 3.3)), np.zeros(4))
     for order in range(1, 5):
         for build in (n_shapley_recursive, n_shapley_explicit):
-            phi = build(table, order)
+            phi = build(table, order)[order - 1]
             assert np.max(np.abs(phi.values)) <= 1e-12
 
 
@@ -161,9 +181,11 @@ def test_three_routes_agree_on_random_tables():
     for dim in (2, 3, 5, 7):
         table = random_table(rng, dim)
         gam = shapley_gam(table)
+        recursive_all = n_shapley_recursive(table, dim)
+        explicit_all = n_shapley_explicit(table, dim)
         for order in range(1, dim + 1):
-            recursive = n_shapley_recursive(table, order)
-            explicit = n_shapley_explicit(table, order)
+            recursive = recursive_all[order - 1]
+            explicit = explicit_all[order - 1]
             combined = n_shapley_from_gam(gam, order)
             assert max_gap(recursive, explicit) <= 1e-9
             assert max_gap(recursive, combined) <= 1e-9
@@ -181,8 +203,8 @@ def test_routes_match_the_exact_rational_oracle():
     for order in range(1, dim + 1):
         expected = fr_phi_recursive(values, dim, order)
         for build in (
-            lambda t, n: n_shapley_recursive(t, n),
-            lambda t, n: n_shapley_explicit(t, n),
+            lambda t, n: n_shapley_recursive(t, n)[n - 1],
+            lambda t, n: n_shapley_explicit(t, n)[n - 1],
             lambda t, n: n_shapley_from_gam(gam, n),
         ):
             phi = build(table, order)
@@ -193,12 +215,13 @@ def test_routes_match_the_exact_rational_oracle():
 def test_explicit_top_layer_is_the_contribution_measure():
     rng = np.random.default_rng(8)
     table = random_table(rng, 5)
+    deltas = delta_all(table)
     for order in range(1, 6):
-        phi = n_shapley_explicit(table, order)
+        phi = n_shapley_explicit(table, order)[order - 1]
         for mask, val in entries(phi).items():
             if popcount(mask) == order:
                 assert val == pytest.approx(
-                    delta(table, mask), abs=1e-12
+                    deltas[mask], abs=1e-12
                 )
 
 
@@ -206,7 +229,7 @@ def test_pairwise_interaction_splits_in_half_at_order_one():
     # the centered product table [0, 0, 0, ab]
     a, b = 3.0, 4.0
     table = ValueTable(SubsetTable(2, [0.0, 0.0, 0.0, a * b]), np.array([a, b]))
-    phi = n_shapley_explicit(table, 1)
+    [phi] = n_shapley_explicit(table, 1)
     assert phi.value(0b01) == pytest.approx(a * b / 2, abs=1e-12)
     assert phi.value(0b10) == pytest.approx(a * b / 2, abs=1e-12)
 
@@ -309,7 +332,7 @@ def test_one_dimensional_degenerate_case():
     assert gam.baseline == 2.0
     assert gam.value(0b1) == 3.0
     assert gam.prediction() == 5.0
-    phi = n_shapley_recursive(table, 1)
+    [phi] = n_shapley_recursive(table, 1)
     assert phi.value(0b1) == pytest.approx(3.0, abs=1e-12)
 
 
@@ -505,7 +528,7 @@ def test_recovery_on_a_true_order_two_model():
     model = additive_model(ComponentMap(dim, comps))
     vf = InterventionalValueFunction(model, rng.normal(size=(20, dim)))
     gam = shapley_gam(build_value_table(vf, rng.normal(size=dim)))
-    report = recovery_check(gam, 2)
+    report = recovery_check(gam, n_shapley_from_gam(gam, 2))
     assert report.max_component_above_order <= 1e-9
     assert report.max_attribution_gap <= 1e-9
     assert report.is_order()
@@ -518,7 +541,7 @@ def test_recovery_flags_the_checkerboard_top_component():
     gam = shapley_gam(
         build_value_table(InterventionalValueFunction(model, background), background[0])
     )
-    report = recovery_check(gam, 2)
+    report = recovery_check(gam, n_shapley_from_gam(gam, 2))
     assert report.max_component_above_order == pytest.approx(0.5, abs=1e-9)
     assert report.worst_subset_above_order == (1 << dim) - 1
     assert not report.is_order()
@@ -542,7 +565,7 @@ def test_recovery_check_matches_the_per_mask_loop():
             gap = 0.0
             for mask, value in entries(phi).items():
                 gap = max(gap, abs(value - gam.values[mask]))
-            report = recovery_check(gam, order)
+            report = recovery_check(gam, phi)
             assert report.max_component_above_order == worst
             assert report.worst_subset_above_order == worst_mask
             assert report.max_attribution_gap == gap

@@ -225,6 +225,15 @@ def test_reply_after_end_fails_its_batch(tmp_path):
     assert model._proc is None
 
 
+def test_protocol_failure_closes_stdin_before_waiting(tmp_path):
+    # the child still reads its stdin, so end-of-input lets it exit on its own
+    # instead of being killed after the grace period
+    command = _stub(tmp_path, "duplicate.py", DUPLICATE_REPLY)
+    model = external_model(command, dim=1)
+    with pytest.raises(ProcessFailed, match=r"after END \(exit status 0\)"):
+        model.predict_batch(np.array([[3.0]]))
+
+
 STRAY_BETWEEN_BATCHES = """\
 import sys, time
 while True:
