@@ -124,7 +124,7 @@ def main(argv=None) -> int:
         NoMatchingRows,
         ProcessFailed,
         ProtocolTimeout,
-        FileNotFoundError,
+        OSError,  # a data or results file that cannot be read or written
     ) as exc:
         sys.stderr.write(f"nshapley: error: {exc}\n")
         return 2

@@ -22,6 +22,8 @@ and every float is serialized in round-trip form.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 from dataclasses import dataclass, fields, replace
@@ -43,7 +45,6 @@ from .core import (
 )
 from .datasets import Dataset, load_csv
 from .figures import emit_dependence, emit_stacked_bars
-from .lattice import subset_key
 from .models import (
     CheckerboardSpec,
     ComponentMap,
@@ -61,7 +62,7 @@ from .models import (
     external_model,
     knn_model,
 )
-from .serialize import dumps_records
+from .serialize import dumps_csv, dumps_records, emit_csv, emit_records, results_file
 from .valuefn import (
     GamInducedValueFunction,
     InterventionalValueFunction,
@@ -120,10 +121,14 @@ def _number(raw, where: str, kind: type = float):
     return value
 
 
-def _numbers(raw, where: str, kind: type = float) -> tuple:
+def _list(raw, where: str) -> Sequence:
     if isinstance(raw, (str, bytes)) or not isinstance(raw, Sequence):
         raise ConfigError(f"{where}: expected a list, got {raw!r}")
-    return tuple(_number(item, where, kind) for item in raw)
+    return raw
+
+
+def _numbers(raw, where: str, kind: type = float) -> tuple:
+    return tuple(_number(item, where, kind) for item in _list(raw, where))
 
 
 @dataclass(frozen=True)
@@ -147,6 +152,9 @@ class RunConfig:
         fmt = mapping.get("format", "json")
         if fmt not in {"json", "csv"}:
             raise ConfigError(f"config: format must be json|csv, got {fmt!r}")
+        out = mapping.get("out")
+        if out is not None and not isinstance(out, str):
+            raise ConfigError(f"out: expected a path string or null, got {out!r}")
         return cls(
             data=str(mapping["data"]),
             model=_typed_spec(mapping["model"], "model"),
@@ -155,7 +163,7 @@ class RunConfig:
             order=order,
             points=points,
             seed=_number(mapping.get("seed", 0), "seed", int),
-            out=mapping.get("out"),
+            out=out,
             format=fmt,
         )
 
@@ -251,13 +259,15 @@ def _parse_component(spec: Mapping, index: int):
     if ctype == "term":
         _require_keys(spec, {"type", "features", "factors", "coefficient"}, {"features", "factors"}, where)
         features = _numbers(spec["features"], f"{where}: features", int)
-        factors = tuple(_parse_factor(f, where) for f in spec["factors"])
+        factors = tuple(_parse_factor(f, where) for f in _list(spec["factors"], f"{where}: factors"))
         coefficient = _number(spec.get("coefficient", 1.0), f"{where}: coefficient")
         return ProductComponent(features, factors, coefficient)
     if ctype == "lookup":
         _require_keys(spec, {"type", "features", "lo", "hi", "values"}, {"features", "lo", "hi", "values"}, where)
         features = _numbers(spec["features"], f"{where}: features", int)
-        return LookupComponent(features, spec["lo"], spec["hi"], spec["values"])
+        lo = _numbers(spec["lo"], f"{where}: lo")
+        hi = _numbers(spec["hi"], f"{where}: hi")
+        return LookupComponent(features, lo, hi, spec["values"])
     raise ConfigError(f"{where}: unknown component type {ctype!r}")
 
 
@@ -419,44 +429,38 @@ def _indices_for_point(prepared: _Prepared, point_id: int) -> list[InteractionIn
     return _indices_for_gam(_explain_point(prepared, point_id), prepared.orders)
 
 
-def _records_csv(point_ids: list[int], per_point: list[list[InteractionIndex]]) -> str:
-    lines = ["point,order,set,value"]
-    for pid, indices in zip(point_ids, per_point):
-        for index in indices:
-            lines.append(f'{pid},{index.order},"",{index.baseline!r}')
-            masks = index.masks()
-            lines.extend(
-                f'{pid},{index.order},"{subset_key(mask)}",{value!r}'
-                for mask, value in zip(masks.tolist(), index.values[masks].tolist())
-            )
-    return "\n".join(lines) + "\n"
+def _results(out: str | None):
+    """The results file's handle (see ``results_file``), or a discarded buffer without ``out``."""
+    return results_file(out) if out else contextlib.nullcontext(io.StringIO())
 
 
-def _write_out(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-
-
-def run_explain(config: RunConfig, full_order_only: bool = False) -> str:
-    """Compute the configured indices and return (and optionally write) them.
+def run_explain(config: RunConfig, full_order_only: bool = False) -> str | None:
+    """Compute the configured indices and write or return them.
 
     Output is a JSON array of per-point, per-order records (or a flat
-    CSV), deterministic given the configuration bytes.
+    CSV), deterministic given the configuration bytes. Points are
+    computed and written one at a time. With ``config.out`` the records
+    stream into that file, which is replaced only when the whole run
+    succeeds, and the result is None; otherwise the text is returned.
     """
     prepared = _prepare(config)
     if full_order_only:
         prepared = replace(prepared, orders=[prepared.dataset.dim])
-    per_point = [_indices_for_point(prepared, pid) for pid in prepared.point_ids]
+    labelled = (
+        (pid, index) for pid in prepared.point_ids for index in _indices_for_point(prepared, pid)
+    )
     if config.format == "csv":
-        text = _records_csv(prepared.point_ids, per_point)
+        emit, dumps, items = emit_csv, dumps_csv, labelled
     else:
-        text = dumps_records([ix for indices in per_point for ix in indices])
-    _write_out(text, config.out)
-    return text
+        emit, dumps, items = emit_records, dumps_records, (index for _, index in labelled)
+    if not config.out:
+        return dumps(items)
+    with results_file(config.out) as fh:
+        emit(items, fh)
+    return None
 
 
-def run_gam(config: RunConfig) -> str:
+def run_gam(config: RunConfig) -> str | None:
     """Indices at full order only: the decomposition per point."""
     return run_explain(config, full_order_only=True)
 
@@ -464,6 +468,13 @@ def run_gam(config: RunConfig) -> str:
 def run_degree(config: RunConfig) -> str:
     """Interaction-degree report over the selected points."""
     prepared = _prepare(config)
+    with _results(config.out) as fh:
+        text = _degree_text(config, prepared)
+        fh.write(text)
+    return text
+
+
+def _degree_text(config: RunConfig, prepared: _Prepared) -> str:
     gams = [_explain_point(prepared, pid) for pid in prepared.point_ids]
     report = interaction_degree(gams)
     if config.format == "csv":
@@ -486,7 +497,6 @@ def run_degree(config: RunConfig) -> str:
             },
         }
         text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    _write_out(text, config.out)
     return text
 
 
@@ -498,6 +508,13 @@ def run_check(config: RunConfig, tol: float = 1e-9) -> tuple[str, bool]:
     brute-force per-feature oracle up to dim 12.
     """
     prepared = _prepare(config)
+    with _results(config.out) as fh:
+        text, ok = _check_report(prepared, tol)
+        fh.write(text)
+    return text, ok
+
+
+def _check_report(prepared: _Prepared, tol: float) -> tuple[str, bool]:
     d = prepared.dataset.dim
     lines = []
     ok = True
@@ -547,9 +564,7 @@ def run_check(config: RunConfig, tol: float = 1e-9) -> tuple[str, bool]:
                     f"max-above-order={report.max_component_above_order:.3e} "
                     f"attribution-gap={report.max_attribution_gap:.3e}"
                 )
-    text = "\n".join(lines) + "\n"
-    _write_out(text, config.out)
-    return text, ok
+    return "\n".join(lines) + "\n", ok
 
 
 def run_plot(config: RunConfig, mode: str, feature: int | None, out: str) -> list[str]:

@@ -12,41 +12,101 @@ zeros or underscores), and a record holds every subset of size
 are written in round-trip decimal form (up to 17 significant digits),
 so parsing a results file back reproduces every value bit for bit.
 A results file is a JSON array of such records.
+
+The writers stream: ``emit_records`` and ``emit_csv`` write each record
+to a text handle as it comes, with keys from one table per dimension
+(``subset_keys``). ``emit_records`` writes exactly the bytes of
+``json.dumps(records, indent=2, allow_nan=False) + "\\n"``.
+``results_file`` gives the handle through which a results file is
+written whole or not at all.
 """
 
 from __future__ import annotations
 
+import contextlib
+import errno
+import io
 import json
-from typing import Sequence
+import math
+import os
+from functools import lru_cache
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
 from .core import PROVENANCE_DIRECT, PROVENANCE_FROM_GAM, InteractionIndex, ShapleyGam
-from .lattice import MAX_DIM, parse_subset_key, subset_key
+from .lattice import MAX_DIM, parse_subset_key
 
 __all__ = [
-    "index_to_record",
+    "subset_keys",
     "record_to_index",
+    "emit_records",
     "dumps_records",
     "loads_records",
     "write_records",
     "read_records",
+    "emit_csv",
+    "dumps_csv",
+    "results_file",
 ]
 
 _RECORD_KEYS = {"dim", "order", "baseline", "point", "provenance", "values"}
 
 
-def index_to_record(index: InteractionIndex) -> dict:
+@lru_cache(maxsize=1)
+def subset_keys(dim: int) -> tuple[str, ...]:
+    """The canonical key of every mask below ``2**dim``, indexed by mask.
+
+    Built by doubling: the masks with bit i set are the earlier ones
+    with ``i`` appended, so no mask is decoded bit by bit.
+    """
+    keys = [""]
+    for i in range(dim):
+        tail = str(i)
+        keys += [key + "," + tail if key else tail for key in keys]
+    return tuple(keys)
+
+
+def _entries(index: InteractionIndex) -> Iterator[tuple[str, float]]:
+    """(key, value) of each covered coalition, in ascending mask order."""
+    keys = subset_keys(index.dim)
     masks = index.masks()
-    values = dict(zip(map(subset_key, masks.tolist()), index.values[masks].tolist()))
-    return {
-        "dim": index.dim,
-        "order": index.order,
-        "baseline": index.baseline,
-        "point": None if index.point is None else index.point.tolist(),
-        "provenance": index.provenance,
-        "values": values,
-    }
+    return zip(map(keys.__getitem__, masks.tolist()), index.values[masks].tolist())
+
+
+def _finite(value: float, field: str) -> str:
+    if not math.isfinite(value):
+        raise ValueError(f"record {field} is not finite ({value!r}); JSON holds finite numbers only")
+    return float.__repr__(value)
+
+
+def _emit_record(index: InteractionIndex, fh: TextIO) -> None:
+    if index.point is None:
+        point = "null"
+    else:
+        items = ",\n".join("      " + _finite(v, "point") for v in index.point.tolist())
+        point = "[\n" + items + "\n    ]"
+    fh.write(
+        f'  {{\n    "dim": {index.dim},\n    "order": {index.order},\n'
+        f'    "baseline": {_finite(index.baseline, "baseline")},\n    "point": {point},\n'
+        f'    "provenance": {json.dumps(index.provenance)},\n    "values": {{\n'
+    )
+    fh.write(",\n".join([f'      "{key}": {value!r}' for key, value in _entries(index)]))
+    fh.write("\n    }\n  }")
+
+
+def emit_records(indices: Iterable[InteractionIndex], fh: TextIO) -> None:
+    """Write the JSON array of ``indices``' records to ``fh``, one record at a time.
+
+    A non-finite baseline or point raises ``ValueError``, as
+    ``json.dumps(..., allow_nan=False)`` does.
+    """
+    separator = "[\n"
+    for index in indices:
+        fh.write(separator)
+        _emit_record(index, fh)
+        separator = ",\n"
+    fh.write("[]\n" if separator == "[\n" else "\n]\n")  # json.dumps writes no records as []
 
 
 def record_to_index(record: dict) -> InteractionIndex:
@@ -83,9 +143,10 @@ def record_to_index(record: dict) -> InteractionIndex:
     return index
 
 
-def dumps_records(indices: Sequence[InteractionIndex]) -> str:
-    records = [index_to_record(ix) for ix in indices]
-    return json.dumps(records, indent=2, allow_nan=False) + "\n"
+def dumps_records(indices: Iterable[InteractionIndex]) -> str:
+    buffer = io.StringIO()
+    emit_records(indices, buffer)
+    return buffer.getvalue()
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -102,11 +163,57 @@ def loads_records(text: str) -> list[InteractionIndex]:
     return [record_to_index(rec) for rec in payload]
 
 
-def write_records(indices: Sequence[InteractionIndex], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps_records(indices))
+def write_records(indices: Iterable[InteractionIndex], path) -> None:
+    """Stream the records of ``indices`` into the results file ``path``."""
+    with results_file(path) as fh:
+        emit_records(indices, fh)
 
 
 def read_records(path) -> list[InteractionIndex]:
     with open(path, "r", encoding="utf-8") as fh:
         return loads_records(fh.read())
+
+
+def emit_csv(labelled: Iterable[tuple[int, InteractionIndex]], fh: TextIO) -> None:
+    """Write ``(point, index)`` pairs as the flat ``point,order,set,value`` table.
+
+    Each index gives one line for its baseline (set ``""``) and one per
+    covered coalition.
+    """
+    fh.write("point,order,set,value\n")
+    for point_id, index in labelled:
+        head = f"{point_id},{index.order},"
+        fh.write(f'{head}"",{index.baseline!r}\n')
+        fh.write("".join([f'{head}"{key}",{value!r}\n' for key, value in _entries(index)]))
+
+
+def dumps_csv(labelled: Iterable[tuple[int, InteractionIndex]]) -> str:
+    buffer = io.StringIO()
+    emit_csv(labelled, buffer)
+    return buffer.getvalue()
+
+
+@contextlib.contextmanager
+def results_file(path) -> Iterator[TextIO]:
+    """A text handle whose contents replace ``path`` only if the block completes.
+
+    The text goes to a new, uniquely named file beside ``path``, which
+    is renamed over ``path`` on success and removed on any exception, so
+    a failed write leaves ``path`` as it was. ``OSError`` comes from
+    opening the file (a directory at ``path`` fails here too) or from
+    the rename.
+    """
+    path = os.fspath(path)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise

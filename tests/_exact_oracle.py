@@ -8,6 +8,9 @@ of it shares code with the package under test.
 
 ``scatter`` and ``entries`` convert between the ``{mask: value}``
 mappings the tests write by hand and an index's dense ``values`` array.
+``oracle_record`` and ``oracle_csv`` are the dict-per-record and
+line-per-coalition writers the streamed results writers replaced,
+kept as the reference their bytes must match.
 """
 
 from __future__ import annotations
@@ -124,3 +127,31 @@ def entries(index) -> dict[int, float]:
     """An index's covered coalitions and their values, in ascending mask order."""
     masks = index.masks()
     return dict(zip(masks.tolist(), index.values[masks].tolist()))
+
+
+def oracle_key(mask: int, dim: int) -> str:
+    return ",".join(str(i) for i in range(dim) if mask >> i & 1)
+
+
+def oracle_record(index) -> dict:
+    """The JSON record of an index as a plain dict (``json.dumps`` writes its bytes)."""
+    return {
+        "dim": index.dim,
+        "order": index.order,
+        "baseline": index.baseline,
+        "point": None if index.point is None else index.point.tolist(),
+        "provenance": index.provenance,
+        "values": {oracle_key(mask, index.dim): value for mask, value in entries(index).items()},
+    }
+
+
+def oracle_csv(labelled) -> str:
+    """The flat ``point,order,set,value`` table of ``(point, index)`` pairs."""
+    lines = ["point,order,set,value"]
+    for pid, index in labelled:
+        lines.append(f'{pid},{index.order},"",{index.baseline!r}')
+        lines.extend(
+            f'{pid},{index.order},"{oracle_key(mask, index.dim)}",{value!r}'
+            for mask, value in entries(index).items()
+        )
+    return "\n".join(lines) + "\n"

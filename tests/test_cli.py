@@ -222,9 +222,14 @@ def _poly_model(coeffs):
         ({"seed": "abc"}, "'abc'"),
         ({"order": 2.7}, "2.7"),
         ({"points": [0.9]}, "0.9"),
+        ({"model": {"type": "additive", "components": [
+            {"type": "term", "features": [0], "factors": 7}]}}, "factors: expected a list"),
+        ({"model": {"type": "additive", "components": [
+            {"type": "lookup", "features": [0], "lo": {"a": 1}, "hi": [1], "values": [0, 1]}]}},
+         "lo: expected a list"),
     ],
     ids=["granularity-x", "granularity-3", "coeff-q", "background-z", "seed-abc",
-         "order-2.7", "points-0.9"],
+         "order-2.7", "points-0.9", "factors-7", "lookup-lo-object"],
 )
 def test_config_values_of_the_wrong_type_or_range_are_clean_errors(
     changes, message, product_fixture, tmp_path, capsys
@@ -643,3 +648,79 @@ def test_non_finite_model_output_is_a_clean_error(command, product_fixture, tmp_
     assert proc.stderr.startswith("nshapley: error: point 4: ")
     assert "not finite" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("where", ["config-int", "config-list", "directory", "missing-directory"])
+def test_results_file_errors_are_clean(where, product_fixture, tmp_path, monkeypatch, capsys):
+    from nshapley import config
+
+    tables = []
+    build = config.build_value_table
+    monkeypatch.setattr(config, "build_value_table", lambda *a: tables.append(1) or build(*a))
+    out = {"config-int": 5, "config-list": ["a"]}.get(where)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(_product_config(product_fixture, out=out)))
+    flags = []
+    if where == "directory":
+        flags = ["--out", tmp_path]
+    elif where == "missing-directory":
+        flags = ["--out", tmp_path / "nowhere" / "results.json"]
+    assert run_cli("gam", "--config", cfg_path, *flags) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("nshapley: error: ")
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert tables == []  # failed before the first value table
+    if where.startswith("config"):
+        with pytest.raises(ConfigError, match="out: expected a path string"):
+            load_config(cfg_path)
+
+
+SECOND_BATCH_FAILS_CHILD = """\
+import sys
+batches = 0
+while True:
+    header = sys.stdin.readline()
+    if not header:
+        break
+    count = int(header.split()[2])
+    for _ in range(count + 1):
+        sys.stdin.readline()
+    batches += 1
+    if batches == 2:
+        sys.exit(3)
+    sys.stdout.write("0.5\\n" * count + "END\\n")
+    sys.stdout.flush()
+"""
+
+
+@pytest.mark.parametrize("out_state", ["absent", "existing", "stdout"])
+@pytest.mark.parametrize("command, fmt", [("explain", "json"), ("explain", "csv"), ("degree", "json")])
+def test_a_failed_run_leaves_no_results_file(command, fmt, out_state, product_fixture, tmp_path, capsys):
+    child = tmp_path / "child.py"
+    child.write_text(SECOND_BATCH_FAILS_CHILD)
+    model = {"type": "external", "command": f"{sys.executable} {child}", "timeout": 30}
+    results = tmp_path / "results" / f"out.{fmt}"
+    results.parent.mkdir()
+    if out_state == "existing":
+        results.write_bytes(b"earlier results\n")
+    flags = [] if out_state == "stdout" else ["--out", results]
+    code = run_cli(
+        command,
+        "--data", product_fixture,
+        "--model", json.dumps(model),
+        "--value-fn", "interventional",
+        "--background", "0:4",
+        "--order", "all",
+        "--points", "3,4",  # point 3 is computed (and streamed) before point 4 fails
+        "--format", fmt,
+        *flags,
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("nshapley: error: point 4: ")
+    assert captured.out == ""
+    if out_state == "existing":
+        assert [p.name for p in results.parent.iterdir()] == [results.name]
+        assert results.read_bytes() == b"earlier results\n"
+    else:
+        assert list(results.parent.iterdir()) == []

@@ -5,15 +5,16 @@ import json
 import numpy as np
 import pytest
 
-from _exact_oracle import scatter
+from _exact_oracle import oracle_csv, oracle_record, scatter
 from nshapley.core import InteractionIndex, ShapleyGam, shapley_gam
 from nshapley.lattice import SubsetTable
 from nshapley.serialize import (
+    dumps_csv,
     dumps_records,
-    index_to_record,
     loads_records,
     read_records,
     record_to_index,
+    subset_keys,
     write_records,
 )
 from nshapley.valuefn import ValueTable
@@ -39,7 +40,7 @@ def test_record_shape():
     index = InteractionIndex(
         dim=2, order=1, baseline=0.25, values=scatter(2, {0b01: 1.5, 0b10: -2.0})
     )
-    record = index_to_record(index)
+    record = oracle_record(index)
     assert record["dim"] == 2
     assert record["order"] == 1
     assert record["baseline"] == 0.25
@@ -50,7 +51,7 @@ def test_record_shape():
 def test_subset_keys_are_ascending_index_lists():
     rng = np.random.default_rng(0)
     index = random_index(rng, 4, 3)
-    record = index_to_record(index)
+    record = oracle_record(index)
     assert "0,1,2" in record["values"]
     assert all("," not in k or k.split(",") == sorted(k.split(","), key=int)
                for k in record["values"])
@@ -99,7 +100,7 @@ def test_gnarly_floats_survive():
 
 
 def test_unknown_record_keys_rejected():
-    record = index_to_record(
+    record = oracle_record(
         InteractionIndex(dim=1, order=1, baseline=0.0, values=np.zeros(2))
     )
     record["bogus"] = 1
@@ -157,3 +158,93 @@ def test_repeated_key_in_a_document_rejected():
     text = '[{"dim": 2, "order": 1, "baseline": 0.0, "values": {"0": 1.0, "1": 2.0, "1": 3.0}}]'
     with pytest.raises(ValueError, match="repeats a key"):
         loads_records(text)
+
+
+GNARLY = [-0.0, 5e-324, 1e16, 1e22, 1e-7, 0.1, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+def gnarly_indices(seed):
+    """Every order of every dim 1..10; each index holds as many GNARLY values as it has room for."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for dim in range(1, 11):
+        for order in range(1, dim + 1):
+            masks = [m for m in range(1, 1 << dim) if bin(m).count("1") <= order]
+            values = rng.normal(size=len(masks)) * 10.0 ** rng.integers(-20, 20, len(masks))
+            values[: len(GNARLY)] = GNARLY[: len(masks)]
+            rng.shuffle(values)
+            pool = np.concatenate([values, GNARLY])
+            cls = ShapleyGam if order == dim else InteractionIndex
+            out.append(cls(
+                dim=dim,
+                order=order,
+                baseline=float(rng.choice(pool)),
+                values=scatter(dim, dict(zip(masks, values.tolist()))),
+                point=None if rng.random() < 0.5 else rng.choice(pool, size=dim),
+                provenance="from-gam" if order < dim else "direct",
+            ))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_writer_bytes_match_the_reference(seed):
+    indices = gnarly_indices(seed)
+    expected = json.dumps([oracle_record(ix) for ix in indices], indent=2, allow_nan=False)
+    assert dumps_records(indices) == expected + "\n"
+    assert dumps_records(iter(indices[:3])) == json.dumps(
+        [oracle_record(ix) for ix in indices[:3]], indent=2, allow_nan=False
+    ) + "\n"
+
+
+def test_empty_document():
+    assert dumps_records([]) == json.dumps([], indent=2) + "\n" == "[]\n"
+    assert loads_records(dumps_records([])) == []
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_csv_bytes_match_the_reference(seed):
+    labelled = [(7 * i, ix) for i, ix in enumerate(gnarly_indices(seed))]
+    assert dumps_csv(labelled) == oracle_csv(labelled)
+    assert dumps_csv([]) == "point,order,set,value\n"
+
+
+def test_subset_key_table_is_the_canonical_key_of_each_mask():
+    from nshapley.lattice import subset_key
+
+    for dim in (0, 1, 5, 11):
+        keys = subset_keys(dim)
+        assert len(keys) == 1 << dim
+        assert all(keys[mask] == subset_key(mask) for mask in range(1 << dim))
+
+
+@pytest.mark.parametrize("field", ["baseline", "point"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_baseline_or_point_is_rejected(field, bad, tmp_path):
+    values = scatter(2, {1: 1.0, 2: 2.0})
+    good = InteractionIndex(dim=2, order=1, baseline=0.5, values=values, point=[1.0, 2.0])
+    fields = {"baseline": bad} if field == "baseline" else {"baseline": 0.5, "point": [1.0, bad]}
+    index = InteractionIndex(dim=2, order=1, values=values, **fields)
+    with pytest.raises(ValueError):
+        json.dumps([oracle_record(index)], allow_nan=False)
+    with pytest.raises(ValueError, match=f"{field} is not finite"):
+        dumps_records([good, index])
+    path = tmp_path / "results.json"
+    with pytest.raises(ValueError, match=f"{field} is not finite"):
+        write_records([good, index], path)
+    assert list(tmp_path.iterdir()) == []  # no results file, no temporary file
+
+
+def test_failed_write_keeps_the_previous_file(tmp_path):
+    rng = np.random.default_rng(3)
+    path = tmp_path / "results.json"
+    write_records([random_index(rng, 3, 2)], path)
+    before = path.read_bytes()
+
+    def failing():
+        yield random_index(rng, 3, 1)
+        raise RuntimeError("model failed")
+
+    with pytest.raises(RuntimeError, match="model failed"):
+        write_records(failing(), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["results.json"]
