@@ -22,8 +22,6 @@ and every float is serialized in round-trip form.
 
 from __future__ import annotations
 
-import contextlib
-import io
 import json
 import math
 from dataclasses import dataclass, fields, replace
@@ -429,11 +427,6 @@ def _indices_for_point(prepared: _Prepared, point_id: int) -> list[InteractionIn
     return _indices_for_gam(_explain_point(prepared, point_id), prepared.orders)
 
 
-def _results(out: str | None):
-    """The results file's handle (see ``results_file``), or a discarded buffer without ``out``."""
-    return results_file(out) if out else contextlib.nullcontext(io.StringIO())
-
-
 def run_explain(config: RunConfig, full_order_only: bool = False) -> str | None:
     """Compute the configured indices and write or return them.
 
@@ -468,7 +461,9 @@ def run_gam(config: RunConfig) -> str | None:
 def run_degree(config: RunConfig) -> str:
     """Interaction-degree report over the selected points."""
     prepared = _prepare(config)
-    with _results(config.out) as fh:
+    if not config.out:
+        return _degree_text(config, prepared)
+    with results_file(config.out) as fh:
         text = _degree_text(config, prepared)
         fh.write(text)
     return text
@@ -508,7 +503,9 @@ def run_check(config: RunConfig, tol: float = 1e-9) -> tuple[str, bool]:
     brute-force per-feature oracle up to dim 12.
     """
     prepared = _prepare(config)
-    with _results(config.out) as fh:
+    if not config.out:
+        return _check_report(prepared, tol)
+    with results_file(config.out) as fh:
         text, ok = _check_report(prepared, tol)
         fh.write(text)
     return text, ok

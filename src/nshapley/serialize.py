@@ -14,8 +14,8 @@ so parsing a results file back reproduces every value bit for bit.
 A results file is a JSON array of such records.
 
 The writers stream: ``emit_records`` and ``emit_csv`` write each record
-to a text handle as it comes, with keys from one table per dimension
-(``subset_keys``). ``emit_records`` writes exactly the bytes of
+to a text handle as it comes, with keys from one cached table per
+dimension (``subset_keys``). ``emit_records`` writes exactly the bytes of
 ``json.dumps(records, indent=2, allow_nan=False) + "\\n"``.
 ``results_file`` gives the handle through which a results file is
 written whole or not at all.
@@ -24,16 +24,17 @@ written whole or not at all.
 from __future__ import annotations
 
 import contextlib
-import errno
 import io
 import json
 import math
 import os
-from functools import lru_cache
+import shutil
+import stat
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
+from . import _kernels
 from .core import PROVENANCE_DIRECT, PROVENANCE_FROM_GAM, InteractionIndex, ShapleyGam
 from .lattice import MAX_DIM, parse_subset_key
 
@@ -53,23 +54,42 @@ __all__ = [
 _RECORD_KEYS = {"dim", "order", "baseline", "point", "provenance", "values"}
 
 
-@lru_cache(maxsize=1)
-def subset_keys(dim: int) -> tuple[str, ...]:
+_last_keys: tuple[int, int, tuple[str | None, ...]] = (-1, 0, ())
+
+
+def subset_keys(dim: int, order: int | None = None) -> tuple[str | None, ...]:
     """The canonical key of every mask below ``2**dim``, indexed by mask.
 
-    Built by doubling: the masks with bit i set are the earlier ones
-    with ``i`` appended, so no mask is decoded bit by bit.
+    Only masks of at most ``order`` members (all, by default) get a
+    key; the others hold None. Built by doubling: the masks with bit i
+    set are the earlier ones with ``i`` appended, so no mask is decoded
+    bit by bit and no key beyond ``order`` is made. The last table is
+    kept and serves every later call of its dimension that it covers;
+    a call it does not cover builds the full table of that dimension,
+    so a run over orders 1..d builds two tables, not d.
     """
-    keys = [""]
+    global _last_keys
+    order = dim if order is None else order
+    last_dim, last_order, keys = _last_keys
+    if last_dim == dim:
+        if last_order >= order:
+            return keys
+        order = dim  # a second, larger order of this dimension: make every key, once
+    sizes = _kernels.popcount_table(dim).tolist()
+    table = [""]
     for i in range(dim):
         tail = str(i)
-        keys += [key + "," + tail if key else tail for key in keys]
-    return tuple(keys)
+        table += [
+            None if size >= order else key + "," + tail if key else tail
+            for key, size in zip(table, sizes)
+        ]
+    _last_keys = (dim, order, tuple(table))
+    return _last_keys[2]
 
 
 def _entries(index: InteractionIndex) -> Iterator[tuple[str, float]]:
     """(key, value) of each covered coalition, in ascending mask order."""
-    keys = subset_keys(index.dim)
+    keys = subset_keys(index.dim, index.order)
     masks = index.masks()
     return zip(map(keys.__getitem__, masks.tolist()), index.values[masks].tolist())
 
@@ -197,23 +217,43 @@ def dumps_csv(labelled: Iterable[tuple[int, InteractionIndex]]) -> str:
 def results_file(path) -> Iterator[TextIO]:
     """A text handle whose contents replace ``path`` only if the block completes.
 
-    The text goes to a new, uniquely named file beside ``path``, which
-    is renamed over ``path`` on success and removed on any exception, so
-    a failed write leaves ``path`` as it was. ``OSError`` comes from
-    opening the file (a directory at ``path`` fails here too) or from
-    the rename.
+    The text goes to a new, uniquely named file beside ``path``'s
+    target (a symlink is followed and kept), and is removed on any
+    exception, so a failed write leaves ``path`` as it was. On success
+    a new path gets the file by rename; an existing regular file is
+    rewritten in place from it, keeping its mode, owner and hard links.
+    A path that exists but is not a regular file (a FIFO, a terminal,
+    ``/dev/null``) cannot be replaced and is written straight through.
+    ``OSError`` comes from opening (a directory at ``path`` fails here
+    too) or from the final rename or copy.
     """
     path = os.fspath(path)
-    if os.path.isdir(path):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    head, name = os.path.split(path)
-    tmp = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
-    fh = open(tmp, "x", encoding="utf-8", newline="\n")
     try:
-        with fh:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):  # a directory fails to open here
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+        return
+    target = os.path.realpath(path)
+    head, name = os.path.split(target)
+    tmp = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
+    # An existing file is opened (not truncated) first, so a file that
+    # cannot be written fails before any work is done.
+    with open(target, "ab") if mode is not None else contextlib.nullcontext() as dest:
+        fh = open(tmp, "x", encoding="utf-8", newline="\n")
+        try:
+            with fh:
+                yield fh
+            if dest is None:
+                os.replace(tmp, target)
+            else:
+                dest.truncate(0)
+                with open(tmp, "rb") as src:
+                    shutil.copyfileobj(src, dest)
+                os.remove(tmp)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+            raise

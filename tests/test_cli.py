@@ -1,8 +1,11 @@
 """The command line surface, end to end."""
 
 import json
+import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -724,3 +727,51 @@ def test_a_failed_run_leaves_no_results_file(command, fmt, out_state, product_fi
         assert results.read_bytes() == b"earlier results\n"
     else:
         assert list(results.parent.iterdir()) == []
+
+
+def _gam_text(product_fixture, tmp_path, capsys):
+    """The config path of a small gam run and the text it prints without --out."""
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(_product_config(product_fixture)))
+    assert run_cli("gam", "--config", cfg_path) == 0
+    return cfg_path, capsys.readouterr().out.encode()
+
+
+@pytest.mark.parametrize("kind", ["symlink", "dangling-symlink", "hard-link"])
+def test_results_file_keeps_links_and_mode(kind, product_fixture, tmp_path, capsys):
+    cfg_path, expected = _gam_text(product_fixture, tmp_path, capsys)
+    target = tmp_path / "store" / "results.json"
+    target.parent.mkdir()
+    out = tmp_path / "results.json"
+    if kind != "dangling-symlink":
+        target.write_bytes(b"earlier results\n")
+        target.chmod(0o640)
+    if kind == "hard-link":
+        os.link(target, out)
+    else:
+        out.symlink_to(target)
+    assert run_cli("gam", "--config", cfg_path, "--out", out) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == expected
+    if kind == "hard-link":
+        assert os.path.samefile(out, target)
+    else:
+        assert out.is_symlink() and os.readlink(out) == str(target)
+    if kind != "dangling-symlink":
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def test_results_file_can_be_a_fifo(product_fixture, tmp_path, capsys):
+    cfg_path, expected = _gam_text(product_fixture, tmp_path, capsys)
+    fifo = tmp_path / "results.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    code = run_cli("gam", "--config", cfg_path, "--out", fifo)
+    reader.join(timeout=30)
+    assert code == 0
+    assert received == [expected]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)  # written through, not replaced
+    assert list(tmp_path.rglob("*.tmp")) == []

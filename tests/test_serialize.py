@@ -217,6 +217,20 @@ def test_subset_key_table_is_the_canonical_key_of_each_mask():
         assert all(keys[mask] == subset_key(mask) for mask in range(1 << dim))
 
 
+def test_low_order_key_table_makes_only_the_covered_keys():
+    from nshapley.lattice import subset_key
+
+    for dim, order in ((7, 1), (9, 3), (11, 2)):
+        keys = subset_keys(dim, order)
+        assert len(keys) == 1 << dim
+        assert all(
+            keys[mask] == (subset_key(mask) if bin(mask).count("1") <= order else None)
+            for mask in range(1 << dim)
+        )
+        assert subset_keys(dim, order - 1 or 1) is keys  # a covered call reuses the table
+    assert subset_keys(11, 4) == subset_keys(11)  # a larger order builds the full table
+
+
 @pytest.mark.parametrize("field", ["baseline", "point"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_baseline_or_point_is_rejected(field, bad, tmp_path):
