@@ -28,14 +28,12 @@ from .core import (
 )
 from .exactnum import (
     CoefficientTable,
-    Rational,
     bernoulli,
     check_bernoulli_identity,
     check_bernoulli_orthogonality,
     coeff_c,
 )
 from .lattice import (
-    FeatureSet,
     SubsetTable,
     enumerate_subsets,
     moebius_transform,
@@ -57,10 +55,8 @@ from .models import (
     SineFactor,
     StepFactor,
     additive_model,
-    cell_center_grid,
     checkerboard,
     external_model,
-    fit_additive_marginal_means,
     knn_model,
 )
 from .valuefn import (
@@ -71,9 +67,6 @@ from .valuefn import (
     ValueFunction,
     ValueTable,
     build_value_table,
-    gam_induced_value,
-    interventional_value,
-    observational_exactmatch_value,
 )
 
 __version__ = "0.1.0"
@@ -81,14 +74,12 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # exact coefficients
-    "Rational",
     "bernoulli",
     "coeff_c",
     "check_bernoulli_identity",
     "check_bernoulli_orthogonality",
     "CoefficientTable",
     # lattice
-    "FeatureSet",
     "SubsetTable",
     "enumerate_subsets",
     "moebius_transform",
@@ -100,9 +91,6 @@ __all__ = [
     "InterventionalValueFunction",
     "ObservationalExactMatchValueFunction",
     "GamInducedValueFunction",
-    "interventional_value",
-    "observational_exactmatch_value",
-    "gam_induced_value",
     "build_value_table",
     # models
     "PredictFn",
@@ -117,14 +105,12 @@ __all__ = [
     "StepFactor",
     "CheckerboardSpec",
     "checkerboard",
-    "cell_center_grid",
     "KnnModel",
     "knn_model",
     "ExternalModel",
     "external_model",
     "ProcessFailed",
     "ProtocolTimeout",
-    "fit_additive_marginal_means",
     # engine
     "InteractionIndex",
     "ShapleyGam",

@@ -43,6 +43,7 @@ from .core import (
 )
 from .datasets import Dataset, load_csv
 from .figures import emit_dependence, emit_stacked_bars
+from .lattice import MAX_DIM
 from .models import (
     CheckerboardSpec,
     ComponentMap,
@@ -127,6 +128,13 @@ def _list(raw, where: str) -> Sequence:
 
 def _numbers(raw, where: str, kind: type = float) -> tuple:
     return tuple(_number(item, where, kind) for item in _list(raw, where))
+
+
+def _grid(raw, where: str, axes: int) -> tuple:
+    """Numbers nested ``axes`` lists deep, such as a lookup's values."""
+    if axes <= 1:
+        return _numbers(raw, where)
+    return tuple(_grid(item, where, axes - 1) for item in _list(raw, where))
 
 
 @dataclass(frozen=True)
@@ -263,9 +271,12 @@ def _parse_component(spec: Mapping, index: int):
     if ctype == "lookup":
         _require_keys(spec, {"type", "features", "lo", "hi", "values"}, {"features", "lo", "hi", "values"}, where)
         features = _numbers(spec["features"], f"{where}: features", int)
+        if len(features) > MAX_DIM:  # also bounds the nesting _grid descends
+            raise ConfigError(f"{where}: a lookup takes at most {MAX_DIM} features")
         lo = _numbers(spec["lo"], f"{where}: lo")
         hi = _numbers(spec["hi"], f"{where}: hi")
-        return LookupComponent(features, lo, hi, spec["values"])
+        values = _grid(spec["values"], f"{where}: values", len(features))
+        return LookupComponent(features, lo, hi, values)
     raise ConfigError(f"{where}: unknown component type {ctype!r}")
 
 

@@ -21,15 +21,12 @@ from types import MappingProxyType
 from typing import Mapping
 
 __all__ = [
-    "Rational",
     "bernoulli",
     "coeff_c",
     "check_bernoulli_identity",
     "check_bernoulli_orthogonality",
     "CoefficientTable",
 ]
-
-Rational = Fraction
 
 # Grow-only memo of B_0, B_1, ... shared by all callers for the process
 # lifetime. Entries are immutable Fractions; the lock only serialises

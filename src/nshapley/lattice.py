@@ -25,21 +25,17 @@ import numpy as np
 from . import _kernels
 
 __all__ = [
-    "FeatureSet",
     "MAX_DIM",
     "SubsetTable",
     "popcount",
     "mask_from_indices",
     "indices_from_mask",
     "subset_key",
-    "parse_subset_key",
     "iter_submasks",
     "enumerate_subsets",
     "moebius_transform",
     "zeta_transform",
 ]
-
-FeatureSet = int
 
 MAX_DIM = 24
 
@@ -76,26 +72,6 @@ def indices_from_mask(mask: int) -> tuple[int, ...]:
 def subset_key(mask: int) -> str:
     """Human/JSON key for a subset: comma-joined ascending indices, e.g. "0,2,3"."""
     return ",".join(str(i) for i in indices_from_mask(mask))
-
-
-def parse_subset_key(key: str, dim: int) -> int:
-    """Inverse of :func:`subset_key`; accepts only the keys it writes, for in-range indices."""
-    if key == "":
-        return 0
-    indices = []
-    for part in key.split(","):
-        try:
-            indices.append(int(part))
-        except ValueError:
-            raise ValueError(f"bad subset key {key!r}: {part!r} is not an integer") from None
-    if min(indices) < 0 or max(indices) >= dim:
-        raise ValueError(f"bad subset key {key!r}: index out of range for dim={dim}")
-    mask = mask_from_indices(indices)
-    if subset_key(mask) != key:
-        raise ValueError(
-            f"bad subset key {key!r}: not canonical, the subset is written {subset_key(mask)!r}"
-        )
-    return mask
 
 
 def iter_submasks(mask: int):

@@ -47,14 +47,12 @@ __all__ = [
     "additive_model",
     "CheckerboardSpec",
     "checkerboard",
-    "cell_center_grid",
     "knn_model",
     "KnnModel",
     "external_model",
     "ExternalModel",
     "ProcessFailed",
     "ProtocolTimeout",
-    "fit_additive_marginal_means",
 ]
 
 
@@ -263,20 +261,8 @@ class ComponentMap:
         self._by_mask = {mask: tuple(grouped[mask]) for mask in sorted(grouped)}
         self.order = max((popcount(m) for m in self._by_mask), default=0)
 
-    def masks(self) -> tuple[int, ...]:
-        return tuple(self._by_mask)
-
-    def components(self, mask: int) -> tuple[Component, ...]:
-        return self._by_mask.get(mask, ())
-
     def all_components(self) -> tuple[Component, ...]:
         return tuple(chain.from_iterable(self._by_mask.values()))
-
-    def evaluate_mask(self, points: np.ndarray, mask: int) -> np.ndarray:
-        out = np.zeros(points.shape[0])
-        for comp in self._by_mask.get(mask, ()):
-            out += comp.evaluate(points)
-        return out
 
     def component_table(self, point) -> np.ndarray:
         """Dense per-subset values g_S(x) at a single point (zeros off support)."""
@@ -381,17 +367,6 @@ def checkerboard(spec: CheckerboardSpec) -> CheckerboardModel:
     return CheckerboardModel(spec)
 
 
-def cell_center_grid(dim: int, granularity: int) -> np.ndarray:
-    """The full product grid of per-axis cell centers, (granularity**dim, dim)."""
-    if granularity < 1:
-        raise ValueError("granularity must be >= 1")
-    if granularity**dim > 1 << 22:
-        raise ValueError(f"grid of {granularity}**{dim} rows is too large")
-    centers = (np.arange(granularity) + 0.5) / granularity
-    grids = np.meshgrid(*([centers] * dim), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
-
-
 # ---------------------------------------------------------------------------
 # k-nearest neighbours
 # ---------------------------------------------------------------------------
@@ -432,37 +407,6 @@ class KnnModel(PredictFn):
 
 def knn_model(train, labels, k: int) -> KnnModel:
     return KnnModel(train, labels, k)
-
-
-def fit_additive_marginal_means(points, labels) -> AdditiveModel:
-    """One-pass additive fit on evenly spaced discrete features.
-
-    Builds, per feature, a lookup component holding the centered
-    conditional label mean at each observed feature value, plus a
-    constant at the global mean. This is the simplest honest additive
-    baseline for discrete data; it needs every feature's observed
-    values to form an evenly spaced grid.
-    """
-    pts = np.ascontiguousarray(points, dtype=np.float64)
-    y = np.ascontiguousarray(labels, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[0] == 0 or y.shape != (pts.shape[0],):
-        raise ValueError("need a nonempty (n, d) matrix with aligned labels")
-    grand_mean = float(y.mean())
-    comps: list[Component] = [ConstantComponent(grand_mean)]
-    for j in range(pts.shape[1]):
-        values = np.unique(pts[:, j])
-        if values.size < 2:
-            continue
-        steps = np.diff(values)
-        if not np.allclose(steps, steps[0], rtol=0, atol=1e-9):
-            raise ValueError(f"feature {j} is not evenly spaced discrete")
-        means = np.array(
-            [y[pts[:, j] == v].mean() - grand_mean for v in values]
-        )
-        comps.append(
-            LookupComponent((j,), [values[0]], [values[-1]], means)
-        )
-    return additive_model(ComponentMap(pts.shape[1], comps))
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import _kernels
 from .core import PROVENANCE_DIRECT, PROVENANCE_FROM_GAM, InteractionIndex, ShapleyGam
-from .lattice import MAX_DIM, parse_subset_key
+from .lattice import MAX_DIM
 
 __all__ = [
     "subset_keys",
@@ -142,7 +142,15 @@ def record_to_index(record: dict) -> InteractionIndex:
     provenance = record.get("provenance", PROVENANCE_DIRECT)
     if provenance not in (PROVENANCE_DIRECT, PROVENANCE_FROM_GAM):
         raise ValueError(f"unknown provenance {provenance!r}")
-    masks = [parse_subset_key(key, dim) for key in record["values"]]
+    keys = subset_keys(dim, order)
+    mask_of = {key: mask for mask, key in enumerate(keys) if key is not None}
+    try:
+        masks = list(map(mask_of.__getitem__, record["values"]))
+    except KeyError as exc:
+        raise ValueError(
+            f"bad subset key {exc.args[0]!r}: not canonical, a key is the comma-joined "
+            f"ascending feature indices below dim={dim}"
+        ) from None
     values = np.zeros(1 << dim)
     values[masks] = [float(val) for val in record["values"].values()]
     point = record.get("point")

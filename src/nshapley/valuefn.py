@@ -6,7 +6,10 @@ instance here is subset-compliant: the result depends on no coordinate
 of x outside S, which is exactly what makes the downstream alternating
 subset sums produce a well-defined functional decomposition.
 
-Three concrete semantics are provided:
+A value function is used only as its dense table: ``batch_evaluate(x)``
+returns v(x, S) for all 2**d masks S at once, indexed by mask, and
+``build_value_table`` checks and freezes that array. Three semantics
+are provided:
 
 * interventional: average f over the background rows with the S
   columns overwritten by x,
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .lattice import MAX_DIM, SubsetTable, indices_from_mask, subset_key
+from .lattice import MAX_DIM, SubsetTable, subset_key
 from .models import ComponentMap, PredictFn
 
 __all__ = [
@@ -38,9 +41,6 @@ __all__ = [
     "InterventionalValueFunction",
     "ObservationalExactMatchValueFunction",
     "GamInducedValueFunction",
-    "interventional_value",
-    "observational_exactmatch_value",
-    "gam_induced_value",
     "build_value_table",
     "as_background",
 ]
@@ -122,13 +122,8 @@ class ValueFunction(abc.ABC):
     dim: int
 
     @abc.abstractmethod
-    def evaluate(self, point, subset: int) -> float:
-        """v(x, S) for one coalition mask."""
-
     def batch_evaluate(self, point) -> np.ndarray:
-        """Dense v(x, .) over all 2**dim masks; overridden with faster paths."""
-        x = _as_point(point, self.dim)
-        return np.array([self.evaluate(x, mask) for mask in range(1 << self.dim)])
+        """Dense v(x, S) over all 2**dim masks S, indexed by mask."""
 
 
 def build_value_table(value_fn: ValueFunction, point) -> ValueTable:
@@ -159,21 +154,12 @@ def _mask_bits(masks: np.ndarray, dim: int) -> np.ndarray:
     return (masks[:, None] >> np.arange(dim)) & 1
 
 
-def interventional_value(model: PredictFn, background, point, subset: int) -> float:
+class InterventionalValueFunction(ValueFunction):
     """Average of f over the background with the S columns forced to x.
 
     Rows are used in full and averaged in row order, so repeated calls
     are reproducible byte for byte.
     """
-    bg = as_background(background, model.dim)
-    x = _as_point(point, model.dim)
-    keep = np.array([(subset >> j) & 1 for j in range(model.dim)], dtype=bool)
-    hybrid = np.where(keep, x, bg)
-    return float(np.mean(model.predict_batch(hybrid)))
-
-
-class InterventionalValueFunction(ValueFunction):
-    """Batched interventional valuation against a fixed background sample."""
 
     # target rows per model call; keeps child-process batches amortised
     # and bounds the hybrid-matrix working set.
@@ -184,9 +170,6 @@ class InterventionalValueFunction(ValueFunction):
         self.background = as_background(background, model.dim).copy()
         self.background.flags.writeable = False
         self.dim = model.dim
-
-    def evaluate(self, point, subset: int) -> float:
-        return interventional_value(self.model, self.background, point, subset)
 
     def batch_evaluate(self, point) -> np.ndarray:
         x = _as_point(point, self.dim)
@@ -210,30 +193,12 @@ class InterventionalValueFunction(ValueFunction):
 # ---------------------------------------------------------------------------
 
 
-def observational_exactmatch_value(model: PredictFn, data, point, subset: int) -> float:
+class ObservationalExactMatchValueFunction(ValueFunction):
     """Empirical conditional mean of f given exact agreement with x on S.
 
     Only meaningful for discrete-valued features. The empty coalition
     yields the global mean of f over the data.
     """
-    rows = as_background(data, model.dim)
-    x = _as_point(point, model.dim)
-    preds = model.predict_batch(rows)
-    return _conditional_mean(preds, rows, x, subset)
-
-
-def _conditional_mean(preds: np.ndarray, rows: np.ndarray, x: np.ndarray, subset: int) -> float:
-    cols = list(indices_from_mask(subset))
-    if cols:
-        match = np.all(rows[:, cols] == x[cols], axis=1)
-        if not match.any():
-            raise NoMatchingRows(subset)
-        return float(np.mean(preds[match]))
-    return float(np.mean(preds))
-
-
-class ObservationalExactMatchValueFunction(ValueFunction):
-    """Exact-match conditional expectations over a fixed discrete dataset."""
 
     def __init__(self, model: PredictFn, data):
         self.model = model
@@ -243,33 +208,26 @@ class ObservationalExactMatchValueFunction(ValueFunction):
         # f evaluated once per data row; every conditional reuses these.
         self._predictions = np.asarray(model.predict_batch(self.data), dtype=np.float64)
 
-    def evaluate(self, point, subset: int) -> float:
-        x = _as_point(point, self.dim)
-        return _conditional_mean(self._predictions, self.data, x, subset)
-
     def batch_evaluate(self, point) -> np.ndarray:
+        """The mean over the matching rows, in row order, for each mask.
+
+        Raises ``NoMatchingRows`` for the lowest mask no row matches.
+        """
         x = _as_point(point, self.dim)
+        # bit j of agree[r] is set iff row r equals x in column j
+        agree = (self.data == x) @ (1 << np.arange(self.dim, dtype=np.int64))
         out = np.empty(1 << self.dim)
         for mask in range(1 << self.dim):
-            out[mask] = _conditional_mean(self._predictions, self.data, x, mask)
+            match = (agree & mask) == mask
+            if not match.any():
+                raise NoMatchingRows(mask)
+            out[mask] = np.mean(self._predictions[match])
         return out
 
 
 # ---------------------------------------------------------------------------
 # Decomposition-induced semantics
 # ---------------------------------------------------------------------------
-
-
-def gam_induced_value(components: ComponentMap, point, subset: int) -> float:
-    """v(x, S) = sum of g_L(x_L) over L subset of S."""
-    x = _as_point(point, components.dim)
-    row = x[None, :]
-    total = 0.0
-    for mask in components.masks():
-        if mask & ~subset:
-            continue
-        total += float(components.evaluate_mask(row, mask)[0])
-    return total
 
 
 class GamInducedValueFunction(ValueFunction):
@@ -283,9 +241,6 @@ class GamInducedValueFunction(ValueFunction):
     def __init__(self, components: ComponentMap):
         self.components = components
         self.dim = components.dim
-
-    def evaluate(self, point, subset: int) -> float:
-        return gam_induced_value(self.components, point, subset)
 
     def batch_evaluate(self, point) -> np.ndarray:
         x = _as_point(point, self.dim)

@@ -1,10 +1,18 @@
-"""Independent exact-rational oracles used by the test suite.
+"""Independent oracles and test-only helpers used by the test suite.
 
-Everything here is deliberately naive and implemented from first
-principles with Fractions only: direct alternating subset sums, the
-factorially weighted contribution measure, the Bernoulli-weighted
-recursion, and the permutation-weighted per-feature attribution. None
-of it shares code with the package under test.
+The exact-rational oracles are deliberately naive and implemented from
+first principles with Fractions only: direct alternating subset sums,
+the factorially weighted contribution measure, the Bernoulli-weighted
+recursion, and the permutation-weighted per-feature attribution.
+
+``interventional_value``, ``observational_exactmatch_value`` and
+``gam_induced_value`` compute v(x, S) for one coalition at a time, with
+numpy and the model (or component map) only; they are the references
+the dense value tables are checked against.
+
+``cell_center_grid`` and ``fit_additive_marginal_means`` build test
+inputs; the latter assembles its additive model from the package's
+own components.
 
 ``scatter`` and ``entries`` convert between the ``{mask: value}``
 mappings the tests write by hand and an index's dense ``values`` array.
@@ -19,6 +27,14 @@ from fractions import Fraction
 from math import comb, factorial
 
 import numpy as np
+
+from nshapley.models import (
+    AdditiveModel,
+    ComponentMap,
+    ConstantComponent,
+    LookupComponent,
+    additive_model,
+)
 
 
 def popcount(mask: int) -> int:
@@ -155,3 +171,74 @@ def oracle_csv(labelled) -> str:
             for mask, value in entries(index).items()
         )
     return "\n".join(lines) + "\n"
+
+
+def interventional_value(model, background, point, subset: int) -> float:
+    """Average of f over the background rows with the S columns forced to x."""
+    keep = np.array([(subset >> j) & 1 for j in range(model.dim)], dtype=bool)
+    x = np.asarray(point, dtype=np.float64)
+    hybrid = np.where(keep, x, np.asarray(background, dtype=np.float64))
+    return float(np.mean(model.predict_batch(hybrid)))
+
+
+def observational_exactmatch_value(model, data, point, subset: int) -> float | None:
+    """Mean of f over the data rows equal to x on S, in row order; None if no row is."""
+    rows = np.asarray(data, dtype=np.float64)
+    x = np.asarray(point, dtype=np.float64)
+    cols = [j for j in range(model.dim) if (subset >> j) & 1]
+    match = np.all(rows[:, cols] == x[cols], axis=1)
+    if not match.any():
+        return None
+    return float(np.mean(np.asarray(model.predict_batch(rows))[match]))
+
+
+def gam_induced_value(components, point, subset: int) -> float:
+    """Sum of g_L(x_L) over the declared components with L a subset of S."""
+    row = np.asarray(point, dtype=np.float64)[None, :]
+    return float(sum(
+        float(comp.evaluate(row)[0])
+        for comp in components.all_components()
+        if not comp.mask & ~subset
+    ))
+
+
+def cell_center_grid(dim: int, granularity: int) -> np.ndarray:
+    """The full product grid of per-axis cell centers, (granularity**dim, dim)."""
+    if granularity < 1:
+        raise ValueError("granularity must be >= 1")
+    if granularity**dim > 1 << 22:
+        raise ValueError(f"grid of {granularity}**{dim} rows is too large")
+    centers = (np.arange(granularity) + 0.5) / granularity
+    grids = np.meshgrid(*([centers] * dim), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
+def fit_additive_marginal_means(points, labels) -> AdditiveModel:
+    """One-pass additive fit on evenly spaced discrete features.
+
+    Builds, per feature, a lookup component holding the centered
+    conditional label mean at each observed feature value, plus a
+    constant at the global mean. This is the simplest honest additive
+    baseline for discrete data; it needs every feature's observed
+    values to form an evenly spaced grid.
+    """
+    pts = np.ascontiguousarray(points, dtype=np.float64)
+    y = np.ascontiguousarray(labels, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[0] == 0 or y.shape != (pts.shape[0],):
+        raise ValueError("need a nonempty (n, d) matrix with aligned labels")
+    grand_mean = float(y.mean())
+    comps = [ConstantComponent(grand_mean)]
+    for j in range(pts.shape[1]):
+        values = np.unique(pts[:, j])
+        if values.size < 2:
+            continue
+        steps = np.diff(values)
+        if not np.allclose(steps, steps[0], rtol=0, atol=1e-9):
+            raise ValueError(f"feature {j} is not evenly spaced discrete")
+        means = np.array(
+            [y[pts[:, j] == v].mean() - grand_mean for v in values]
+        )
+        comps.append(
+            LookupComponent((j,), [values[0]], [values[-1]], means)
+        )
+    return additive_model(ComponentMap(pts.shape[1], comps))

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from _exact_oracle import entries, scatter
+from _exact_oracle import cell_center_grid, entries, fit_additive_marginal_means, scatter
 
 import nshapley.exactnum
 from nshapley.analysis import interaction_degree, partial_dependence
@@ -41,9 +41,7 @@ from nshapley.models import (
     ProductComponent,
     SineFactor,
     additive_model,
-    cell_center_grid,
     checkerboard,
-    fit_additive_marginal_means,
     knn_model,
 )
 from nshapley.valuefn import (

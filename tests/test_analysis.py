@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from _exact_oracle import entries, scatter
+from _exact_oracle import cell_center_grid, entries, scatter
 from nshapley.analysis import interaction_degree, partial_dependence
 from nshapley.core import ShapleyGam, n_shapley_from_gam, shapley_gam
 from nshapley.lattice import SubsetTable
@@ -13,7 +13,6 @@ from nshapley.models import (
     PolyFactor,
     ProductComponent,
     additive_model,
-    cell_center_grid,
     checkerboard,
 )
 from nshapley.valuefn import (

@@ -230,9 +230,20 @@ def _poly_model(coeffs):
         ({"model": {"type": "additive", "components": [
             {"type": "lookup", "features": [0], "lo": {"a": 1}, "hi": [1], "values": [0, 1]}]}},
          "lo: expected a list"),
+        ({"model": {"type": "additive", "components": [
+            {"type": "lookup", "features": [0], "lo": [0], "hi": [1], "values": {"a": 1}}]}},
+         "values: expected a list"),
+        ({"model": {"type": "additive", "components": [
+            {"type": "lookup", "features": [0], "lo": [0], "hi": [1], "values": [1, True]}]}},
+         "values: expected a finite number, got True"),
+        ({"model": {"type": "additive", "components": [
+            {"type": "lookup", "features": list(range(900)), "lo": [0] * 900, "hi": [1] * 900,
+             "values": json.loads("[" * 900 + "1" + "]" * 900)}]}},
+         "a lookup takes at most 24 features"),
     ],
     ids=["granularity-x", "granularity-3", "coeff-q", "background-z", "seed-abc",
-         "order-2.7", "points-0.9", "factors-7", "lookup-lo-object"],
+         "order-2.7", "points-0.9", "factors-7", "lookup-lo-object", "lookup-values-object",
+         "lookup-values-bool", "lookup-features-900"],
 )
 def test_config_values_of_the_wrong_type_or_range_are_clean_errors(
     changes, message, product_fixture, tmp_path, capsys

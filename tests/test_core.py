@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _exact_oracle import entries, fr_classic_shapley, fr_phi_recursive, scatter
+from _exact_oracle import cell_center_grid, entries, fr_classic_shapley, fr_phi_recursive, scatter
 from nshapley.core import (
     InteractionIndex,
     ShapleyGam,
@@ -27,7 +27,6 @@ from nshapley.models import (
     PolyFactor,
     PredictFn,
     ProductComponent,
-    cell_center_grid,
     checkerboard,
 )
 from nshapley.valuefn import (

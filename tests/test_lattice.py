@@ -11,7 +11,6 @@ from nshapley.lattice import (
     indices_from_mask,
     mask_from_indices,
     moebius_transform,
-    parse_subset_key,
     popcount,
     subset_key,
     zeta_transform,
@@ -36,23 +35,7 @@ def test_mask_helpers():
     assert mask_from_indices([0, 2, 3]) == 0b1101
     assert indices_from_mask(0b1101) == (0, 2, 3)
     assert subset_key(0b1101) == "0,2,3"
-    assert parse_subset_key("0,2,3", 4) == 0b1101
-    assert parse_subset_key("", 4) == 0
     assert popcount(0b1101) == 3
-
-
-def test_subset_key_roundtrip_errors():
-    with pytest.raises(ValueError):
-        parse_subset_key("2,1", 4)  # not ascending
-    with pytest.raises(ValueError):
-        parse_subset_key("0,0", 4)  # duplicate
-    with pytest.raises(ValueError):
-        parse_subset_key("0,9", 4)  # out of range
-    with pytest.raises(ValueError):
-        parse_subset_key("a", 4)
-    for key, dim in (("01", 2), (" 1", 2), ("+1", 2), ("1_0", 12), ("0, 1", 2), ("-0", 2)):
-        with pytest.raises(ValueError, match="not canonical"):
-            parse_subset_key(key, dim)
     with pytest.raises(ValueError):
         mask_from_indices([5], dim=3)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from _exact_oracle import entries
+from _exact_oracle import cell_center_grid, entries, fit_additive_marginal_means
 from nshapley.core import shapley_gam
 from nshapley.lattice import popcount
 from nshapley.models import (
@@ -16,9 +16,7 @@ from nshapley.models import (
     SineFactor,
     StepFactor,
     additive_model,
-    cell_center_grid,
     checkerboard,
-    fit_additive_marginal_means,
     knn_model,
 )
 from nshapley.valuefn import InterventionalValueFunction, build_value_table

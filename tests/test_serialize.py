@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from _exact_oracle import oracle_csv, oracle_record, scatter
+from _exact_oracle import oracle_csv, oracle_key, oracle_record, scatter
 from nshapley.core import InteractionIndex, ShapleyGam, shapley_gam
 from nshapley.lattice import SubsetTable
 from nshapley.serialize import (
@@ -135,6 +135,25 @@ def test_non_canonical_key_cannot_shadow_a_subset():
     # "01" also parses as feature 1; it must not overwrite or drop the value under "1"
     with pytest.raises(ValueError, match="not canonical"):
         record_to_index(order_one_record({"0": 1.0, "1": 2.0, "01": 3.0}))
+
+
+def test_subset_keys_load_to_their_masks():
+    keys = {oracle_key(mask, 4): float(mask) for mask in range(1, 16)}
+    index = record_to_index(order_one_record(keys, dim=4, order=4))
+    assert index.value(0b1101) == keys["0,2,3"] == 13.0
+    assert index.values.tolist() == list(map(float, range(16)))
+    # "" is the empty set's key, and a record never holds the empty set
+    with pytest.raises(ValueError, match="every subset"):
+        record_to_index(order_one_record({"": 0.0, "0": 1.0, "1": 2.0}))
+
+
+def test_bad_subset_keys_are_rejected():
+    bad = [("2,1", 4), ("0,0", 4), ("0,9", 4), ("a", 4)]  # descending, repeated, out of range
+    bad += [("01", 2), (" 1", 2), ("+1", 2), ("1_0", 12), ("0, 1", 2), ("-0", 2)]  # respellings
+    for key, dim in bad:
+        complete = {oracle_key(mask, dim): 1.0 for mask in range(1, 1 << dim)}
+        with pytest.raises(ValueError, match="not canonical"):
+            record_to_index(order_one_record({**complete, key: 2.0}, dim=dim, order=dim))
 
 
 def test_oversized_dimension_rejected_before_allocation():

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from _exact_oracle import entries
+from _exact_oracle import (
+    entries,
+    gam_induced_value,
+    interventional_value,
+    observational_exactmatch_value,
+    submasks,
+)
 from nshapley.models import (
     ComponentMap,
     ConstantComponent,
@@ -19,9 +25,6 @@ from nshapley.valuefn import (
     ObservationalExactMatchValueFunction,
     ValueTable,
     build_value_table,
-    gam_induced_value,
-    interventional_value,
-    observational_exactmatch_value,
 )
 
 
@@ -65,19 +68,15 @@ def test_interventional_hand_example():
     model = SumModel()
     background = np.array([[0.0, 0.0], [2.0, 2.0]])
     x = np.array([1.0, 5.0])
-    assert interventional_value(model, background, x, 0b00) == 2.0
-    assert interventional_value(model, background, x, 0b01) == 2.0
-    assert interventional_value(model, background, x, 0b10) == 6.0
-    assert interventional_value(model, background, x, 0b11) == 6.0
+    vf = InterventionalValueFunction(model, background)
+    assert vf.batch_evaluate(x).tolist() == [2.0, 2.0, 6.0, 6.0]
 
 
 def test_interventional_full_subset_ignores_background():
     model = SumModel()
     for background in ([[100.0, -3.0]], [[0.0, 0.0], [5.0, 5.0], [1.0, 2.0]]):
-        value = interventional_value(
-            model, np.array(background), np.array([1.0, 5.0]), 0b11
-        )
-        assert value == pytest.approx(6.0, abs=1e-12)
+        vf = InterventionalValueFunction(model, np.array(background))
+        assert vf.batch_evaluate(np.array([1.0, 5.0]))[0b11] == pytest.approx(6.0, abs=1e-12)
 
 
 def test_interventional_centered_product():
@@ -88,25 +87,24 @@ def test_interventional_centered_product():
     )
     a, b = 3.0, 4.0
     x = np.array([a, b])
-    assert interventional_value(model, background, x, 0b00) == 0.0
-    assert interventional_value(model, background, x, 0b01) == 0.0
-    assert interventional_value(model, background, x, 0b10) == 0.0
-    assert interventional_value(model, background, x, 0b11) == a * b
+    vf = InterventionalValueFunction(model, background)
+    assert vf.batch_evaluate(x).tolist() == [0.0, 0.0, 0.0, a * b]
 
 
 def test_interventional_rejects_empty_background():
     with pytest.raises(ValueError):
-        interventional_value(SumModel(), np.empty((0, 2)), np.array([0.0, 0.0]), 0b01)
+        InterventionalValueFunction(SumModel(), np.empty((0, 2)))
 
 
 def test_interventional_batch_matches_single_evaluations():
     rng = np.random.default_rng(0)
     model = ProductModel()
-    vf = InterventionalValueFunction(model, rng.normal(size=(7, 2)))
+    background = rng.normal(size=(7, 2))
+    vf = InterventionalValueFunction(model, background)
     x = rng.normal(size=2)
     dense = vf.batch_evaluate(x)
     for mask in range(4):
-        assert dense[mask] == vf.evaluate(x, mask)
+        assert dense[mask] == interventional_value(model, background, x, mask)
 
 
 def test_observational_exact_match():
@@ -119,14 +117,16 @@ def test_observational_exact_match():
             return np.asarray(points, dtype=np.float64)[:, 1]
 
     model = SecondCoord()
+    vf = ObservationalExactMatchValueFunction(model, data)
     x = np.array([0.0, 1.0])
+    # the empty coalition is the unconditional mean
+    assert vf.batch_evaluate(x).tolist() == [1.5, 1.5, 1.0, 1.0]
     assert observational_exactmatch_value(model, data, x, 0b01) == 1.5
-    # empty coalition is the unconditional mean
-    assert observational_exactmatch_value(model, data, x, 0b00) == 1.5
     # a value absent from the data leaves the conditional undefined
     with pytest.raises(NoMatchingRows) as err:
-        observational_exactmatch_value(model, data, np.array([9.0, 1.0]), 0b01)
+        vf.batch_evaluate(np.array([9.0, 1.0]))
     assert err.value.subset == 0b01
+    assert observational_exactmatch_value(model, data, np.array([9.0, 1.0]), 0b01) is None
 
 
 def test_observational_batch_flags_offending_subset():
@@ -148,9 +148,8 @@ def test_gam_induced_value_by_hand():
         ],
     )
     x = np.array([2.0, 7.0])
-    assert gam_induced_value(comps, x, 0b01) == 3.0
-    assert gam_induced_value(comps, x, 0b00) == 1.0
-    assert gam_induced_value(comps, x, 0b11) == 3.0
+    assert GamInducedValueFunction(comps).batch_evaluate(x).tolist() == [1.0, 3.0, 1.0, 3.0]
+    assert [gam_induced_value(comps, x, mask) for mask in range(4)] == [1.0, 3.0, 1.0, 3.0]
 
 
 def test_gam_induced_roundtrip_recovers_components():
@@ -206,6 +205,7 @@ def test_value_table_validates_point():
 
 
 def test_subset_compliance_exact():
+    # table(x)[T] == table(x')[T] for every T inside a coalition S on which x and x' agree
     rng = np.random.default_rng(5)
     dim = 5
     data = np.round(rng.uniform(0, 2, size=(40, dim)))
@@ -219,21 +219,27 @@ def test_subset_compliance_exact():
             return pts[:, 0] * pts[:, 1] + np.sin(pts[:, 2:]).sum(axis=1)
 
     model = Mixed()
-    instances = [
+    anywhere = [
         InterventionalValueFunction(model, data[:10]),
-        ObservationalExactMatchValueFunction(model, data),
         GamInducedValueFunction(linear_component_map(dim)),
     ]
+    observational = ObservationalExactMatchValueFunction(model, data)
     for trial in range(200):
+        x = data[int(rng.integers(0, len(data)))].copy()
         mask = int(rng.integers(0, 1 << dim))
         keep = [(mask >> j) & 1 for j in range(dim)]
-        x = data[int(rng.integers(0, len(data)))].copy()
         x_prime = np.where(keep, x, rng.normal(size=dim))
-        for vf in instances:
-            if isinstance(vf, ObservationalExactMatchValueFunction):
-                # stay on the observed grid for the conditioned coordinates
-                pass
-            assert vf.evaluate(x, mask) == vf.evaluate(x_prime, mask)
+        inside = list(submasks(mask))
+        for vf in anywhere:
+            assert np.array_equal(vf.batch_evaluate(x)[inside], vf.batch_evaluate(x_prime)[inside])
+        # x' is a data row too, so every entry of both tables is defined;
+        # S is where the two rows agree
+        row = data[int(rng.integers(0, len(data)))]
+        agree = sum(1 << j for j in range(dim) if row[j] == x[j])
+        inside = list(submasks(agree))
+        assert np.array_equal(
+            observational.batch_evaluate(x)[inside], observational.batch_evaluate(row)[inside]
+        )
 
 
 def test_linearity_in_the_model():
@@ -262,11 +268,11 @@ def test_linearity_in_the_model():
         def predict_batch(self, pts):
             return A().predict_batch(pts) + B().predict_batch(pts)
 
-    for mask in range(1 << dim):
-        va = interventional_value(A(), background, x, mask)
-        vb = interventional_value(B(), background, x, mask)
-        vab = interventional_value(AB(), background, x, mask)
-        assert vab == pytest.approx(va + vb, abs=1e-12)
+    va, vb, vab = (
+        InterventionalValueFunction(model, background).batch_evaluate(x)
+        for model in (A(), B(), AB())
+    )
+    assert np.max(np.abs(vab - (va + vb))) <= 1e-12
 
 
 def test_interventional_equals_observational_on_full_product_grids():
@@ -295,3 +301,36 @@ def test_interventional_equals_observational_on_full_product_grids():
         ti = inter.batch_evaluate(x)
         to = obs.batch_evaluate(x)
         assert np.max(np.abs(ti - to)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_observational_table_equals_the_per_mask_oracle(seed):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 7))
+    data = rng.integers(0, 3, size=(int(rng.integers(4, 60)), dim)).astype(np.float64)
+    weights = rng.normal(size=dim)
+
+    class Wavy(PredictFn):
+        def __init__(self):
+            self.dim = dim
+
+        def predict_batch(self, points):
+            pts = np.asarray(points, dtype=np.float64)
+            return np.sin(pts @ weights) * 1e3 + pts[:, 0] / 3.0
+
+    model = Wavy()
+    vf = ObservationalExactMatchValueFunction(model, data)
+    undefined = 0
+    # data rows define every entry; random grid points often leave some undefined
+    points = [data[i] for i in range(min(5, len(data)))]
+    points += list(rng.integers(0, 3, size=(20, dim)).astype(np.float64))
+    for x in points:
+        expected = [observational_exactmatch_value(model, data, x, m) for m in range(1 << dim)]
+        if None in expected:
+            undefined += 1
+            with pytest.raises(NoMatchingRows) as err:
+                vf.batch_evaluate(x)
+            assert err.value.subset == expected.index(None)
+        else:
+            assert np.array_equal(vf.batch_evaluate(x), np.array(expected))
+    assert undefined
