@@ -26,22 +26,10 @@ from .core import (
     reduce_order,
     shapley_gam,
 )
-from .exactnum import (
-    CoefficientTable,
-    bernoulli,
-    check_bernoulli_identity,
-    check_bernoulli_orthogonality,
-    coeff_c,
-)
-from .lattice import (
-    SubsetTable,
-    enumerate_subsets,
-    moebius_transform,
-    zeta_transform,
-)
+from .exactnum import bernoulli, coeff_c
+from .lattice import SubsetTable, moebius_transform
 from .models import (
-    AdditiveModel,
-    CheckerboardSpec,
+    CheckerboardModel,
     ComponentMap,
     ConstantComponent,
     ExternalModel,
@@ -54,10 +42,6 @@ from .models import (
     ProtocolTimeout,
     SineFactor,
     StepFactor,
-    additive_model,
-    checkerboard,
-    external_model,
-    knn_model,
 )
 from .valuefn import (
     GamInducedValueFunction,
@@ -76,14 +60,9 @@ __all__ = [
     # exact coefficients
     "bernoulli",
     "coeff_c",
-    "check_bernoulli_identity",
-    "check_bernoulli_orthogonality",
-    "CoefficientTable",
     # lattice
     "SubsetTable",
-    "enumerate_subsets",
     "moebius_transform",
-    "zeta_transform",
     # value functions
     "NoMatchingRows",
     "ValueTable",
@@ -94,8 +73,6 @@ __all__ = [
     "build_value_table",
     # models
     "PredictFn",
-    "AdditiveModel",
-    "additive_model",
     "ComponentMap",
     "ConstantComponent",
     "ProductComponent",
@@ -103,12 +80,9 @@ __all__ = [
     "PolyFactor",
     "SineFactor",
     "StepFactor",
-    "CheckerboardSpec",
-    "checkerboard",
+    "CheckerboardModel",
     "KnnModel",
-    "knn_model",
     "ExternalModel",
-    "external_model",
     "ProcessFailed",
     "ProtocolTimeout",
     # engine

@@ -45,9 +45,11 @@ from .datasets import Dataset, load_csv
 from .figures import emit_dependence, emit_stacked_bars
 from .lattice import MAX_DIM
 from .models import (
-    CheckerboardSpec,
+    CheckerboardModel,
     ComponentMap,
     ConstantComponent,
+    ExternalModel,
+    KnnModel,
     LookupComponent,
     PolyFactor,
     PredictFn,
@@ -56,10 +58,6 @@ from .models import (
     ProtocolTimeout,
     SineFactor,
     StepFactor,
-    additive_model,
-    checkerboard,
-    external_model,
-    knn_model,
 )
 from .serialize import dumps_csv, dumps_records, emit_csv, emit_records, results_file
 from .valuefn import (
@@ -168,7 +166,7 @@ class RunConfig:
             background=background,
             order=order,
             points=points,
-            seed=_number(mapping.get("seed", 0), "seed", int),
+            seed=_parse_seed(mapping.get("seed", 0)),
             out=out,
             format=fmt,
         )
@@ -209,7 +207,17 @@ def _parse_points(raw) -> str | tuple[int, ...]:
         if _number(raw.split(":", 1)[1], "points: sample size", int) < 1:
             raise ConfigError("points: sample size must be >= 1")
         return raw
-    return _numbers(raw.split(",") if isinstance(raw, str) else raw, "points", int)
+    points = _numbers(raw.split(",") if isinstance(raw, str) else raw, "points", int)
+    if not points:
+        raise ConfigError("points: the list selects no rows")
+    return points
+
+
+def _parse_seed(raw) -> int:
+    seed = _number(raw, "seed", int)
+    if seed < 0:
+        raise ConfigError(f"seed: must be >= 0, got {seed}")
+    return seed
 
 
 def read_config_document(path) -> dict:
@@ -319,22 +327,22 @@ def build_model(spec: Mapping, dataset: Dataset) -> PredictFn:
     where = "model"
     if mtype == "additive":
         _require_keys(spec, {"type", "components"}, {"components"}, where)
-        return additive_model(parse_components(spec["components"], dataset.dim))
+        return parse_components(spec["components"], dataset.dim)
     if mtype == "checkerboard":
         _require_keys(spec, {"type", "granularity", "active"}, set(), where)
         granularity = _number(spec.get("granularity", 2), "model: granularity", int)
         active = spec.get("active")
         active = None if active is None else _numbers(active, "model: active", int)
-        return checkerboard(_construct(CheckerboardSpec, dataset.dim, granularity, active))
+        return _construct(CheckerboardModel, dataset.dim, granularity, active)
     if mtype == "knn":
         _require_keys(spec, {"type", "k", "label"}, {"k", "label"}, where)
         if dataset.labels is None:
             raise ConfigError("model: knn needs the dataset loaded with its label column")
-        return _construct(knn_model, dataset.rows, dataset.labels, _number(spec["k"], "model: k", int))
+        return _construct(KnnModel, dataset.rows, dataset.labels, _number(spec["k"], "model: k", int))
     if mtype == "external":
         _require_keys(spec, {"type", "command", "timeout"}, {"command"}, where)
         timeout = _number(spec.get("timeout", 60.0), "model: timeout")
-        return _construct(external_model, str(spec["command"]), dataset.dim, timeout=timeout)
+        return _construct(ExternalModel, str(spec["command"]), dataset.dim, timeout=timeout)
     raise ConfigError(f"model: unknown type {mtype!r}")
 
 
@@ -579,7 +587,12 @@ def run_plot(config: RunConfig, mode: str, feature: int | None, out: str) -> lis
     """Render bar or dependence figures; returns the paths written."""
     import os
 
+    if mode not in ("bars", "dependence"):
+        raise ConfigError(f"plot: unknown mode {mode!r} (expected bars|dependence)")
     prepared = _prepare(config)
+    dim = prepared.dataset.dim
+    if mode == "dependence" and (feature is None or not 0 <= feature < dim):
+        raise ConfigError(f"plot: dependence needs a feature index in 0..{dim - 1}, got {feature}")
     written: list[str] = []
     per_point = {pid: _indices_for_point(prepared, pid) for pid in prepared.point_ids}
     if mode == "bars":
@@ -594,25 +607,21 @@ def run_plot(config: RunConfig, mode: str, feature: int | None, out: str) -> lis
             emit_stacked_bars(index, path, feature_names=prepared.dataset.columns)
             written.append(path)
         return written
-    if mode == "dependence":
-        if feature is None:
-            raise ConfigError("plot dependence needs a feature index")
-        by_order: dict[int, list[InteractionIndex]] = {}
-        for pid in prepared.point_ids:
-            for index in per_point[pid]:
-                by_order.setdefault(index.order, []).append(index)
-        single = len(by_order) == 1 and out.endswith(".svg")
-        if not single:
-            os.makedirs(out, exist_ok=True)
-        for order in sorted(by_order):
-            series = partial_dependence(by_order[order], feature)
-            if single:
-                svg_path = out
-                csv_path = out[: -len(".svg")] + ".csv"
-            else:
-                stem = os.path.join(out, f"dependence_feature{feature}_order{order}")
-                svg_path, csv_path = stem + ".svg", stem + ".csv"
-            emit_dependence(series, csv_path, svg_path)
-            written.extend([csv_path, svg_path])
-        return written
-    raise ConfigError(f"plot: unknown mode {mode!r} (expected bars|dependence)")
+    by_order: dict[int, list[InteractionIndex]] = {}
+    for pid in prepared.point_ids:
+        for index in per_point[pid]:
+            by_order.setdefault(index.order, []).append(index)
+    single = len(by_order) == 1 and out.endswith(".svg")
+    if not single:
+        os.makedirs(out, exist_ok=True)
+    for order in sorted(by_order):
+        series = partial_dependence(by_order[order], feature)
+        if single:
+            svg_path = out
+            csv_path = out[: -len(".svg")] + ".csv"
+        else:
+            stem = os.path.join(out, f"dependence_feature{feature}_order{order}")
+            svg_path, csv_path = stem + ".svg", stem + ".csv"
+        emit_dependence(series, csv_path, svg_path)
+        written.extend([csv_path, svg_path])
+    return written

@@ -30,7 +30,7 @@ from math import factorial
 import numpy as np
 
 from . import _kernels
-from .exactnum import CoefficientTable, bernoulli
+from .exactnum import bernoulli, coeff_c
 from .lattice import SubsetTable, iter_submasks, popcount, subset_key
 from .valuefn import ValueTable
 
@@ -140,11 +140,11 @@ def _bernoulli_floats(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _mixing_matrix(dim: int) -> np.ndarray:
-    """C(a, m) as float64 for 0 <= a < m <= dim, from the exact table."""
-    table = CoefficientTable.build(dim)
+    """C(a, m) as float64 for 0 <= a < m <= dim, each rounded once from the exact value."""
     out = np.zeros((dim + 1, dim + 1))
-    for (a, m), value in table.c_coeffs.items():
-        out[a, m] = float(value)
+    for m in range(dim + 1):
+        for a in range(m):
+            out[a, m] = float(coeff_c(a, m))
     out.flags.writeable = False
     return out
 

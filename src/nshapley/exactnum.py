@@ -6,27 +6,19 @@ coefficients ``coeff_c(n, m)`` say how strongly a decomposition
 component sitting ``m`` features above a coalition bleeds into that
 coalition's attribution. Both families are computed in arbitrary
 precision rational arithmetic; conversion to float happens only where
-the calling code multiplies them into model outputs. Numerators of
-Bernoulli numbers grow super-exponentially, so fixed-width arithmetic
-is not an option here.
+the calling code multiplies them into model outputs (``core`` rounds
+each coefficient to float64 once when it builds its mixing matrix).
+Numerators of Bernoulli numbers grow super-exponentially, so
+fixed-width arithmetic is not an option here.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
-from types import MappingProxyType
-from typing import Mapping
+from math import comb
 
-__all__ = [
-    "bernoulli",
-    "coeff_c",
-    "check_bernoulli_identity",
-    "check_bernoulli_orthogonality",
-    "CoefficientTable",
-]
+__all__ = ["bernoulli", "coeff_c"]
 
 # Grow-only memo of B_0, B_1, ... shared by all callers for the process
 # lifetime. Entries are immutable Fractions; the lock only serialises
@@ -81,68 +73,3 @@ def coeff_c(n: int, m: int) -> Fraction:
     for k in range(n + 1):
         total += Fraction(comb(m, k)) * bernoulli(k) / (1 + m - k)
     return total
-
-
-def check_bernoulli_identity(n: int) -> bool:
-    """True iff sum_{k=1}^{n} C(n, k) B_k / (n - k + 1) == -1/(n+1), exactly.
-
-    This is the telescoping identity that collapses harmonically
-    weighted Bernoulli sums; it underpins the even-split coefficients.
-    """
-    if n < 1:
-        raise ValueError(f"identity is stated for n >= 1, got {n}")
-    total = Fraction(0)
-    for k in range(1, n + 1):
-        total += Fraction(comb(n, k)) * bernoulli(k) / (n - k + 1)
-    return total == Fraction(-1, n + 1)
-
-
-def check_bernoulli_orthogonality(n: int, m: int) -> bool:
-    """True iff the two-index Bernoulli sum equals 1 for n == 0 and 0 otherwise.
-
-    The sum is
-        sum_{k<=n} sum_{l<=m} C(n,k) C(m,l) (n-k)!(m-l)!/(n+m-k-l+1)!
-                              * (-1)^l * B_{k+l}
-    evaluated exactly. Its collapse to an indicator in n is what makes
-    alternating subset sums of a cumulative table single out exactly
-    one component per subset.
-    """
-    if n < 0 or m < 0:
-        raise ValueError(f"orthogonality check needs n, m >= 0, got ({n}, {m})")
-    total = Fraction(0)
-    for k in range(n + 1):
-        for l in range(m + 1):
-            term = Fraction(
-                comb(n, k) * comb(m, l) * factorial(n - k) * factorial(m - l),
-                factorial(n + m - k - l + 1),
-            )
-            if l % 2:
-                term = -term
-            total += term * bernoulli(k + l)
-    expected = Fraction(1) if n == 0 else Fraction(0)
-    return total == expected
-
-
-@dataclass(frozen=True)
-class CoefficientTable:
-    """Immutable snapshot of B_0..B_d and C(n, m) for 0 <= n < m <= d."""
-
-    max_order: int
-    bernoulli: tuple[Fraction, ...]
-    c_coeffs: Mapping[tuple[int, int], Fraction]
-
-    @classmethod
-    def build(cls, max_order: int) -> "CoefficientTable":
-        if max_order < 0:
-            raise ValueError(f"max_order must be >= 0, got {max_order}")
-        bern = tuple(bernoulli(k) for k in range(max_order + 1))
-        coeffs = {
-            (n, m): coeff_c(n, m)
-            for m in range(max_order + 1)
-            for n in range(m)
-        }
-        return cls(max_order, bern, MappingProxyType(coeffs))
-
-    def c_float(self, n: int, m: int) -> float:
-        """C(n, m) rounded to float64 once, from the exact table."""
-        return float(self.c_coeffs[(n, m)])

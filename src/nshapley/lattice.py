@@ -6,14 +6,13 @@ representation everywhere: at d <= 16 a table is at most 512 KiB of
 float64 and wins on locality over any sparse map. The dimension is hard
 capped at 24.
 
-The two workhorse transforms are inverses of each other:
-
-* ``zeta_transform``     out[S] = sum of in[L] over L subset of S
-* ``moebius_transform``  out[S] = alternating sum (-1)^(|S|-|L|) in[L]
-
-Both run in O(d * 2**d) using an in-place sweep over bit positions
-0..d-1. The sweep order is fixed, so results are bit-identical across
-runs regardless of how many tables are processed in parallel.
+The workhorse transform is ``moebius_transform``, out[S] = alternating
+sum (-1)^(|S|-|L|) in[L] over L subset of S, which turns a value table
+into its per-subset components. Its inverse, the cumulative subset sum,
+is the kernel ``_kernels.zeta_subsets``. Both run in O(d * 2**d) using
+an in-place sweep over bit positions 0..d-1. The sweep order is fixed,
+so results are bit-identical across runs regardless of how many tables
+are processed in parallel.
 """
 
 from __future__ import annotations
@@ -32,9 +31,7 @@ __all__ = [
     "indices_from_mask",
     "subset_key",
     "iter_submasks",
-    "enumerate_subsets",
     "moebius_transform",
-    "zeta_transform",
 ]
 
 MAX_DIM = 24
@@ -113,25 +110,11 @@ class SubsetTable:
         return float(self.values[mask])
 
 
-def enumerate_subsets(dim: int, max_size: int) -> list[int]:
-    """All masks of cardinality <= max_size, in increasing mask order."""
-    if not 0 <= dim <= MAX_DIM:
-        raise ValueError(f"dim must be in [0, {MAX_DIM}], got {dim}")
-    if not 0 <= max_size <= dim:
-        raise ValueError(f"max_size must be in [0, dim={dim}], got {max_size}")
-    pc = _kernels.popcount_table(dim)
-    return [int(m) for m in np.flatnonzero(pc <= max_size)]
-
-
 def moebius_transform(table: SubsetTable) -> SubsetTable:
     """Alternating-sign inversion: out[S] = sum_{L subset S} (-1)^(|S|-|L|) table[L].
 
     Turns a cumulative subset table (a value table) into its per-subset
-    components. Exact inverse of :func:`zeta_transform`.
+    components. Exact inverse of the cumulative subset sum
+    ``_kernels.zeta_subsets``.
     """
     return SubsetTable(table.dim, _kernels.moebius_subsets(table.values, table.dim))
-
-
-def zeta_transform(table: SubsetTable) -> SubsetTable:
-    """Cumulative subset sum: out[S] = sum_{L subset S} table[L]."""
-    return SubsetTable(table.dim, _kernels.zeta_subsets(table.values, table.dim))

@@ -1,19 +1,21 @@
 """Prediction functions that can be explained.
 
-Everything here satisfies one contract: a model has a ``dim`` and a
-deterministic ``predict_batch`` mapping an (n, dim) array of points to n
-float64 outputs, with ``predict`` the single-point convenience. Two
-calls with identical input bytes produce identical output bytes.
+Every model is a ``PredictFn``: it has a ``dim`` and a deterministic
+``predict_batch`` mapping an (n, dim) array of points to n float64
+outputs, with ``predict`` the single-point convenience. Two calls with
+identical input bytes produce identical output bytes. Each model kind is
+one class that callers construct directly:
 
-Built-ins:
-
-* additive models assembled from a tiny closed-form component grammar
-  (constants, per-feature polynomials up to degree 4, sines, step
-  functions, products across features) or gridded lookup tables with
-  multilinear interpolation,
-* the checkerboard family, a pure order-n interaction benchmark,
-* a k-nearest-neighbour regressor/probability scorer,
-* a line-oriented subprocess bridge for attaching external models.
+* ``ComponentMap(dim, components)``, the additive model: a sum of terms
+  from a tiny closed-form component grammar (constants, per-feature
+  polynomials up to degree 4, sines, step functions, products across
+  features) or gridded lookup tables with multilinear interpolation,
+* ``CheckerboardModel(dim, granularity, active)``, a pure order-n
+  interaction benchmark,
+* ``KnnModel(train, labels, k)``, a k-nearest-neighbour
+  regressor/probability scorer,
+* ``ExternalModel(command, dim, timeout)``, a line-oriented subprocess
+  bridge for attaching external models.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import subprocess
 import threading
 import time
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -43,13 +44,8 @@ __all__ = [
     "SineFactor",
     "StepFactor",
     "ComponentMap",
-    "AdditiveModel",
-    "additive_model",
-    "CheckerboardSpec",
-    "checkerboard",
-    "knn_model",
+    "CheckerboardModel",
     "KnnModel",
-    "external_model",
     "ExternalModel",
     "ProcessFailed",
     "ProtocolTimeout",
@@ -212,22 +208,8 @@ class LookupComponent(Component):
             raise ValueError("hi must exceed lo on every axis")
         self._npts = np.array(grid.shape, dtype=np.int64)
         self._step = (hi_arr - self._lo) / (self._npts - 1)
-        self._hi = hi_arr
         self._flat = grid.ravel()
-        self._grid = grid
         self.clamped_evaluations = 0
-
-    @property
-    def lo(self) -> np.ndarray:
-        return self._lo.copy()
-
-    @property
-    def hi(self) -> np.ndarray:
-        return self._hi.copy()
-
-    @property
-    def grid(self) -> np.ndarray:
-        return self._grid.copy()
 
     def evaluate(self, points):
         cols = np.ascontiguousarray(points[:, list(self.features)], dtype=np.float64)
@@ -239,11 +221,12 @@ class LookupComponent(Component):
         return out
 
 
-class ComponentMap:
-    """A declarative sum f(x) = sum over subsets S of g_S(x_S).
+class ComponentMap(PredictFn):
+    """The additive model f(x) = sum over subsets S of g_S(x_S).
 
-    Multiple components on the same subset simply add. The map is
-    immutable once built and safe to evaluate concurrently.
+    Multiple components on the same subset simply add; the empty map is
+    identically 0. The map is immutable once built and safe to evaluate
+    concurrently.
     """
 
     def __init__(self, dim: int, components):
@@ -261,8 +244,15 @@ class ComponentMap:
         self._by_mask = {mask: tuple(grouped[mask]) for mask in sorted(grouped)}
         self.order = max((popcount(m) for m in self._by_mask), default=0)
 
-    def all_components(self) -> tuple[Component, ...]:
-        return tuple(chain.from_iterable(self._by_mask.values()))
+    @property
+    def clamped_evaluations(self) -> int:
+        """Total boundary clamps across all lookup components."""
+        return sum(
+            comp.clamped_evaluations
+            for comps in self._by_mask.values()
+            for comp in comps
+            if isinstance(comp, LookupComponent)
+        )
 
     def component_table(self, point) -> np.ndarray:
         """Dense per-subset values g_S(x) at a single point (zeros off support)."""
@@ -272,41 +262,13 @@ class ComponentMap:
             table[mask] = sum(float(c.evaluate(row)[0]) for c in comps)
         return table
 
-    def predict_batch(self, points: np.ndarray) -> np.ndarray:
-        out = np.zeros(points.shape[0])
+    def predict_batch(self, points):
+        pts = as_points(points, self.dim)
+        out = np.zeros(pts.shape[0])
         for comps in self._by_mask.values():
             for comp in comps:
-                out += comp.evaluate(points)
+                out += comp.evaluate(pts)
         return out
-
-
-class AdditiveModel(PredictFn):
-    """PredictFn wrapper around a ComponentMap."""
-
-    def __init__(self, components: ComponentMap):
-        self.components = components
-        self.dim = components.dim
-
-    @property
-    def order(self) -> int:
-        return self.components.order
-
-    @property
-    def clamped_evaluations(self) -> int:
-        """Total boundary clamps across all lookup components."""
-        return sum(
-            comp.clamped_evaluations
-            for comp in self.components.all_components()
-            if isinstance(comp, LookupComponent)
-        )
-
-    def predict_batch(self, points):
-        return self.components.predict_batch(as_points(points, self.dim))
-
-
-def additive_model(components: ComponentMap) -> AdditiveModel:
-    """Model f(x) = sum of the component values; the empty map is identically 0."""
-    return AdditiveModel(components)
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +279,11 @@ _EDGE = np.nextafter(1.0, 0.0)
 
 
 @dataclass(frozen=True)
-class CheckerboardSpec:
+class CheckerboardModel(PredictFn):
     """Parity-product benchmark on [0,1]**dim.
 
+    f(x) = (1 + product of per-axis cell parities over ``active``) / 2,
+    inputs clamped to [0,1]; ``active`` defaults to every feature.
     granularity is the number of cells per axis and must be even: with
     even granularity each parity factor averages to exactly zero over
     the per-axis cell centers, which concentrates the whole interaction
@@ -348,23 +312,12 @@ class CheckerboardSpec:
                 raise ValueError(f"active features {active} out of range for dim={self.dim}")
         object.__setattr__(self, "active", active)
 
-
-class CheckerboardModel(PredictFn):
-    def __init__(self, spec: CheckerboardSpec):
-        self.spec = spec
-        self.dim = spec.dim
-
     def predict_batch(self, points):
         pts = as_points(points, self.dim)
-        cols = np.clip(pts[:, list(self.spec.active)], 0.0, _EDGE)
-        parity = np.floor(cols * self.spec.granularity).astype(np.int64) & 1
+        cols = np.clip(pts[:, list(self.active)], 0.0, _EDGE)
+        parity = np.floor(cols * self.granularity).astype(np.int64) & 1
         signs = 1.0 - 2.0 * parity
         return 0.5 * (1.0 + signs.prod(axis=1))
-
-
-def checkerboard(spec: CheckerboardSpec) -> CheckerboardModel:
-    """f(x) = (1 + product of per-axis cell parities) / 2, inputs clamped to [0,1]."""
-    return CheckerboardModel(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +356,6 @@ class KnnModel(PredictFn):
             nearest = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
             out[start : start + block.shape[0]] = self.labels[nearest].mean(axis=1)
         return out
-
-
-def knn_model(train, labels, k: int) -> KnnModel:
-    return KnnModel(train, labels, k)
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +521,3 @@ class ExternalModel(PredictFn):
             self.close()
         except Exception:
             pass
-
-
-def external_model(command: str, dim: int, timeout: float = 60.0) -> ExternalModel:
-    return ExternalModel(command, dim, timeout=timeout)

@@ -5,10 +5,16 @@ first principles with Fractions only: direct alternating subset sums,
 the factorially weighted contribution measure, the Bernoulli-weighted
 recursion, and the permutation-weighted per-feature attribution.
 
+``check_bernoulli_identity`` and ``check_bernoulli_orthogonality``
+test the package's exact Bernoulli numbers against two closed-form
+identities. ``enumerate_subsets`` and ``zeta_transform`` are the
+test-side helpers over the coalition lattice; the latter wraps the
+package's cumulative-sum kernel as the inverse of ``moebius_transform``.
+
 ``interventional_value``, ``observational_exactmatch_value`` and
 ``gam_induced_value`` compute v(x, S) for one coalition at a time, with
-numpy and the model (or component map) only; they are the references
-the dense value tables are checked against.
+numpy and the model (or declared components) only; they are the
+references the dense value tables are checked against.
 
 ``cell_center_grid`` and ``fit_additive_marginal_means`` build test
 inputs; the latter assembles its additive model from the package's
@@ -28,13 +34,10 @@ from math import comb, factorial
 
 import numpy as np
 
-from nshapley.models import (
-    AdditiveModel,
-    ComponentMap,
-    ConstantComponent,
-    LookupComponent,
-    additive_model,
-)
+from nshapley import _kernels
+from nshapley.exactnum import bernoulli
+from nshapley.lattice import MAX_DIM, SubsetTable
+from nshapley.models import ComponentMap, ConstantComponent, LookupComponent
 
 
 def popcount(mask: int) -> int:
@@ -56,6 +59,61 @@ def bernoulli_list(n: int) -> list[Fraction]:
         acc = sum(Fraction(comb(m + 1, k)) * out[k] for k in range(m))
         out.append(Fraction(-1, m + 1) * acc)
     return out
+
+
+def check_bernoulli_identity(n: int) -> bool:
+    """True iff sum_{k=1}^{n} C(n, k) B_k / (n - k + 1) == -1/(n+1), exactly.
+
+    This is the telescoping identity that collapses harmonically
+    weighted Bernoulli sums; it underpins the even-split coefficients.
+    """
+    if n < 1:
+        raise ValueError(f"identity is stated for n >= 1, got {n}")
+    total = Fraction(0)
+    for k in range(1, n + 1):
+        total += Fraction(comb(n, k)) * bernoulli(k) / (n - k + 1)
+    return total == Fraction(-1, n + 1)
+
+
+def check_bernoulli_orthogonality(n: int, m: int) -> bool:
+    """True iff the two-index Bernoulli sum equals 1 for n == 0 and 0 otherwise.
+
+    The sum is
+        sum_{k<=n} sum_{l<=m} C(n,k) C(m,l) (n-k)!(m-l)!/(n+m-k-l+1)!
+                              * (-1)^l * B_{k+l}
+    evaluated exactly. Its collapse to an indicator in n is what makes
+    alternating subset sums of a cumulative table single out exactly
+    one component per subset.
+    """
+    if n < 0 or m < 0:
+        raise ValueError(f"orthogonality check needs n, m >= 0, got ({n}, {m})")
+    total = Fraction(0)
+    for k in range(n + 1):
+        for l in range(m + 1):
+            term = Fraction(
+                comb(n, k) * comb(m, l) * factorial(n - k) * factorial(m - l),
+                factorial(n + m - k - l + 1),
+            )
+            if l % 2:
+                term = -term
+            total += term * bernoulli(k + l)
+    expected = Fraction(1) if n == 0 else Fraction(0)
+    return total == expected
+
+
+def enumerate_subsets(dim: int, max_size: int) -> list[int]:
+    """All masks of cardinality <= max_size, in increasing mask order."""
+    if not 0 <= dim <= MAX_DIM:
+        raise ValueError(f"dim must be in [0, {MAX_DIM}], got {dim}")
+    if not 0 <= max_size <= dim:
+        raise ValueError(f"max_size must be in [0, dim={dim}], got {max_size}")
+    pc = _kernels.popcount_table(dim)
+    return [int(m) for m in np.flatnonzero(pc <= max_size)]
+
+
+def zeta_transform(table: SubsetTable) -> SubsetTable:
+    """Cumulative subset sum: out[S] = sum_{L subset S} table[L]."""
+    return SubsetTable(table.dim, _kernels.zeta_subsets(table.values, table.dim))
 
 
 def fr_moebius(values: list[Fraction], dim: int) -> list[Fraction]:
@@ -193,11 +251,11 @@ def observational_exactmatch_value(model, data, point, subset: int) -> float | N
 
 
 def gam_induced_value(components, point, subset: int) -> float:
-    """Sum of g_L(x_L) over the declared components with L a subset of S."""
+    """Sum of g_L(x_L) over the declared components (a list) with L a subset of S."""
     row = np.asarray(point, dtype=np.float64)[None, :]
     return float(sum(
         float(comp.evaluate(row)[0])
-        for comp in components.all_components()
+        for comp in components
         if not comp.mask & ~subset
     ))
 
@@ -213,7 +271,7 @@ def cell_center_grid(dim: int, granularity: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def fit_additive_marginal_means(points, labels) -> AdditiveModel:
+def fit_additive_marginal_means(points, labels) -> ComponentMap:
     """One-pass additive fit on evenly spaced discrete features.
 
     Builds, per feature, a lookup component holding the centered
@@ -241,4 +299,4 @@ def fit_additive_marginal_means(points, labels) -> AdditiveModel:
         comps.append(
             LookupComponent((j,), [values[0]], [values[-1]], means)
         )
-    return additive_model(ComponentMap(pts.shape[1], comps))
+    return ComponentMap(pts.shape[1], comps)

@@ -11,7 +11,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from _exact_oracle import cell_center_grid, entries, fit_additive_marginal_means, scatter
+from _exact_oracle import (
+    cell_center_grid,
+    check_bernoulli_identity,
+    check_bernoulli_orthogonality,
+    entries,
+    fit_additive_marginal_means,
+    scatter,
+)
 
 import nshapley.exactnum
 from nshapley.analysis import interaction_degree, partial_dependence
@@ -24,25 +31,19 @@ from nshapley.core import (
     reduce_order,
     shapley_gam,
 )
-from nshapley.exactnum import (
-    check_bernoulli_identity,
-    check_bernoulli_orthogonality,
-    coeff_c,
-)
+from nshapley.exactnum import coeff_c
 from nshapley.figures import stacked_bar_figure
 from nshapley.core import InteractionIndex
 from nshapley.lattice import SubsetTable, mask_from_indices, popcount
 from nshapley.models import (
-    CheckerboardSpec,
+    CheckerboardModel,
     ComponentMap,
     ConstantComponent,
     LookupComponent,
     PolyFactor,
     ProductComponent,
     SineFactor,
-    additive_model,
-    checkerboard,
-    knn_model,
+    KnnModel,
 )
 from nshapley.valuefn import (
     GamInducedValueFunction,
@@ -211,7 +212,7 @@ def test_criterion_08_low_order_models_recovered():
                     coefficient=float(rng.normal()),
                 )
             )
-        model = additive_model(ComponentMap(dim, comps))
+        model = ComponentMap(dim, comps)
         background = rng.normal(size=(24, dim))
         vf = InterventionalValueFunction(model, background)
         gam = shapley_gam(build_value_table(vf, rng.normal(size=dim)))
@@ -224,7 +225,7 @@ def test_criterion_08_low_order_models_recovered():
     comps = [
         ProductComponent((j,), (PolyFactor((0.0, 1.0, 0.5, 0.1)),)) for j in range(dim)
     ]
-    model = additive_model(ComponentMap(dim, comps))
+    model = ComponentMap(dim, comps)
     vf = InterventionalValueFunction(model, rng.normal(size=(16, dim)))
     indices = []
     for repeated_value in (-0.5, 0.0, 1.5):
@@ -243,8 +244,7 @@ def test_criterion_08_low_order_models_recovered():
 def test_criterion_09_checkerboard_purity():
     start = time.perf_counter()
     for active_size, granularity in ((2, 2), (3, 2), (4, 2), (2, 4), (3, 4)):
-        spec = CheckerboardSpec(dim=active_size, granularity=granularity)
-        model = checkerboard(spec)
+        model = CheckerboardModel(dim=active_size, granularity=granularity)
         background = cell_center_grid(active_size, granularity)
         vf = InterventionalValueFunction(model, background)
         sample = background[:: max(1, len(background) // 8)]
@@ -324,7 +324,7 @@ def _lookup_pipeline(dim: int, n_background: int = 64) -> float:
         comps.append(
             LookupComponent((j, j + 1), [0.0, 0.0], [1.0, 1.0], rng.normal(size=(5, 5)))
         )
-    model = additive_model(ComponentMap(dim, comps))
+    model = ComponentMap(dim, comps)
     background = rng.uniform(0, 1, size=(n_background, dim))
     x = rng.uniform(0, 1, size=dim)
     vf = InterventionalValueFunction(model, background)
@@ -354,7 +354,7 @@ def test_criterion_12_knn_interacts_more_than_additive():
     )
     labels = (grid[:, 0] != grid[:, 1]).astype(np.float64) + 0.5 * grid[:, 2]
 
-    knn = knn_model(grid, labels, 3)
+    knn = KnnModel(grid, labels, 3)
     knn_gams = [
         shapley_gam(build_value_table(InterventionalValueFunction(knn, grid), row))
         for row in grid

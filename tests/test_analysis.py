@@ -8,12 +8,10 @@ from nshapley.analysis import interaction_degree, partial_dependence
 from nshapley.core import ShapleyGam, n_shapley_from_gam, shapley_gam
 from nshapley.lattice import SubsetTable
 from nshapley.models import (
-    CheckerboardSpec,
+    CheckerboardModel,
     ComponentMap,
     PolyFactor,
     ProductComponent,
-    additive_model,
-    checkerboard,
 )
 from nshapley.valuefn import (
     GamInducedValueFunction,
@@ -42,7 +40,7 @@ def test_additive_degree_is_exactly_one():
     comps = [
         ProductComponent((j,), (PolyFactor((0.0, 1.0, 0.4)),)) for j in range(dim)
     ]
-    model = additive_model(ComponentMap(dim, comps))
+    model = ComponentMap(dim, comps)
     vf = InterventionalValueFunction(model, rng.normal(size=(12, dim)))
     gams = [
         shapley_gam(build_value_table(vf, rng.normal(size=dim) + 1.0))
@@ -56,7 +54,7 @@ def test_additive_degree_is_exactly_one():
 
 def test_checkerboard_degree_is_the_active_size():
     for n in (2, 3):
-        model = checkerboard(CheckerboardSpec(dim=n, granularity=2))
+        model = CheckerboardModel(dim=n, granularity=2)
         background = cell_center_grid(n, 2)
         vf = InterventionalValueFunction(model, background)
         gams = [shapley_gam(build_value_table(vf, row)) for row in background[:4]]
@@ -141,7 +139,7 @@ def order_one_model_indices(rng, order, repeats=3):
     comps = [
         ProductComponent((j,), (PolyFactor((0.0, 0.5, 0.25)),)) for j in range(dim)
     ]
-    model = additive_model(ComponentMap(dim, comps))
+    model = ComponentMap(dim, comps)
     vf = InterventionalValueFunction(model, rng.normal(size=(8, dim)))
     indices = []
     for v in (0.0, 1.0):

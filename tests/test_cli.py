@@ -240,10 +240,12 @@ def _poly_model(coeffs):
             {"type": "lookup", "features": list(range(900)), "lo": [0] * 900, "hi": [1] * 900,
              "values": json.loads("[" * 900 + "1" + "]" * 900)}]}},
          "a lookup takes at most 24 features"),
+        ({"points": []}, "points: the list selects no rows"),
+        ({"seed": -1, "points": "sample:2"}, "seed: must be >= 0, got -1"),
     ],
     ids=["granularity-x", "granularity-3", "coeff-q", "background-z", "seed-abc",
          "order-2.7", "points-0.9", "factors-7", "lookup-lo-object", "lookup-values-object",
-         "lookup-values-bool", "lookup-features-900"],
+         "lookup-values-bool", "lookup-features-900", "points-empty", "seed-negative"],
 )
 def test_config_values_of_the_wrong_type_or_range_are_clean_errors(
     changes, message, product_fixture, tmp_path, capsys
@@ -467,6 +469,29 @@ def test_plot_dependence(tmp_path):
     csv_lines = (tmp_path / "dep.csv").read_text().splitlines()
     assert csv_lines[0] == "x,phi"
     assert len(csv_lines) == 9
+
+
+@pytest.mark.parametrize("feature", [["99"], ["-1"], []], ids=["99", "minus-1", "missing"])
+def test_plot_dependence_checks_the_feature_before_any_point(
+    feature, product_fixture, tmp_path, capsys
+):
+    # computing a point would try to spawn this missing command
+    model = {"type": "external", "command": str(tmp_path / "no-such-model"), "timeout": 5}
+    out = tmp_path / "figs"
+    code = run_cli(
+        "plot", "dependence", *feature,
+        "--data", product_fixture,
+        "--model", json.dumps(model),
+        "--value-fn", "interventional",
+        "--background", "0:4",
+        "--points", "all",
+        "--out", out,
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nshapley: error: plot: dependence needs a feature index in 0..1")
+    assert "spawn" not in err
+    assert not out.exists()
 
 
 def test_point_sampling_is_seeded(product_fixture, tmp_path):

@@ -21,13 +21,12 @@ from nshapley.core import (
 )
 from nshapley.lattice import SubsetTable, mask_from_indices, popcount
 from nshapley.models import (
-    CheckerboardSpec,
+    CheckerboardModel,
     ComponentMap,
     ConstantComponent,
     PolyFactor,
     PredictFn,
     ProductComponent,
-    checkerboard,
 )
 from nshapley.valuefn import (
     GamInducedValueFunction,
@@ -522,9 +521,7 @@ def test_recovery_on_a_true_order_two_model():
                 coefficient=float(rng.normal()),
             )
         )
-    from nshapley.models import additive_model
-
-    model = additive_model(ComponentMap(dim, comps))
+    model = ComponentMap(dim, comps)
     vf = InterventionalValueFunction(model, rng.normal(size=(20, dim)))
     gam = shapley_gam(build_value_table(vf, rng.normal(size=dim)))
     report = recovery_check(gam, n_shapley_from_gam(gam, 2))
@@ -535,7 +532,7 @@ def test_recovery_on_a_true_order_two_model():
 
 def test_recovery_flags_the_checkerboard_top_component():
     dim = 3
-    model = checkerboard(CheckerboardSpec(dim=dim, granularity=2))
+    model = CheckerboardModel(dim=dim, granularity=2)
     background = cell_center_grid(dim, 2)
     gam = shapley_gam(
         build_value_table(InterventionalValueFunction(model, background), background[0])
@@ -575,12 +572,10 @@ def test_order_one_attributions_collapse_onto_curves():
     # that feature alone: zero spread across points sharing the value
     rng = np.random.default_rng(23)
     dim = 3
-    from nshapley.models import additive_model
-
     comps = [
         ProductComponent((j,), (PolyFactor((0.0, 1.0, 0.7, 0.1)),)) for j in range(dim)
     ]
-    model = additive_model(ComponentMap(dim, comps))
+    model = ComponentMap(dim, comps)
     background = rng.normal(size=(10, dim))
     vf = InterventionalValueFunction(model, background)
     grid = np.array([0.0, 0.5, 1.0])

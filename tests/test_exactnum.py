@@ -6,14 +6,15 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from _exact_oracle import bernoulli_list, fr_phi_recursive, fr_zeta
-from nshapley.exactnum import (
-    CoefficientTable,
-    bernoulli,
+from _exact_oracle import (
+    bernoulli_list,
     check_bernoulli_identity,
     check_bernoulli_orthogonality,
-    coeff_c,
+    fr_phi_recursive,
+    fr_zeta,
 )
+from nshapley.core import _mixing_matrix
+from nshapley.exactnum import bernoulli, coeff_c
 
 # The first 20 Bernoulli numbers, the standard reference values.
 FIRST_TWENTY = {
@@ -142,18 +143,13 @@ def test_orthogonality_identity():
 
 
 def test_coefficient_table():
-    table = CoefficientTable.build(8)
-    assert table.max_order == 8
-    assert table.bernoulli == tuple(bernoulli(k) for k in range(9))
+    # the float64 mixing matrix the engine uses: C(n, m) rounded once, n < m
+    table = _mixing_matrix(8)
+    assert table.shape == (9, 9)  # every entry, zero below the diagonal, is checked
     for m in range(9):
-        for n in range(m):
-            assert table.c_coeffs[(n, m)] == coeff_c(n, m)
-    assert len(table.c_coeffs) == sum(range(9))
-    assert table.c_float(0, 3) == 0.25
-    with pytest.raises(TypeError):
-        table.c_coeffs[(0, 1)] = Fraction(0)  # mapping is read-only
-
-
-def test_coefficient_table_rejects_negative_order():
+        for n in range(9):
+            expected = float(coeff_c(n, m)) if n < m else 0.0
+            assert table[n, m] == expected
+    assert table[0, 3] == 0.25
     with pytest.raises(ValueError):
-        CoefficientTable.build(-1)
+        table[0, 1] = 0.0  # matrix is read-only

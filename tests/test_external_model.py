@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from nshapley.models import ProcessFailed, ProtocolTimeout, external_model
+from nshapley.models import ExternalModel, ProcessFailed, ProtocolTimeout
 
 ECHO_FIRST = """\
 import sys
@@ -70,7 +70,7 @@ def _stub(tmp_path, name, source):
 
 def test_echo_first_coordinate(tmp_path):
     command = _stub(tmp_path, "echo.py", ECHO_FIRST)
-    with external_model(command, dim=3) as model:
+    with ExternalModel(command, dim=3) as model:
         pts = np.array([[1.5, 0.0, 0.0], [-2.25, 9.0, 4.0]])
         assert list(model.predict_batch(pts)) == [1.5, -2.25]
         assert model.predict(np.array([0.125, 7.0, 7.0])) == 0.125
@@ -80,7 +80,7 @@ def test_large_batch_preserves_order(tmp_path):
     command = _stub(tmp_path, "echo.py", ECHO_FIRST)
     rng = np.random.default_rng(4)
     pts = np.column_stack([rng.normal(size=1000), rng.normal(size=1000)])
-    with external_model(command, dim=2) as model:
+    with ExternalModel(command, dim=2) as model:
         out = model.predict_batch(pts)
     assert out.shape == (1000,)
     assert np.array_equal(out, pts[:, 0])  # round-trip floats survive exactly
@@ -88,7 +88,7 @@ def test_large_batch_preserves_order(tmp_path):
 
 def test_multiple_batches_reuse_one_process(tmp_path):
     command = _stub(tmp_path, "echo.py", ECHO_FIRST)
-    with external_model(command, dim=1) as model:
+    with ExternalModel(command, dim=1) as model:
         first = model.predict_batch(np.array([[1.0], [2.0]]))
         proc = model._proc
         second = model.predict_batch(np.array([[3.0]]))
@@ -99,7 +99,7 @@ def test_multiple_batches_reuse_one_process(tmp_path):
 
 def test_malformed_reply_cites_line(tmp_path):
     command = _stub(tmp_path, "bad.py", MALFORMED)
-    model = external_model(command, dim=2)
+    model = ExternalModel(command, dim=2)
     with pytest.raises(ProcessFailed, match="reply line 2"):
         model.predict_batch(np.zeros((3, 2)))
     assert model._proc is None  # reaped
@@ -107,7 +107,7 @@ def test_malformed_reply_cites_line(tmp_path):
 
 def test_timeout(tmp_path):
     command = _stub(tmp_path, "sleepy.py", SLEEPY)
-    model = external_model(command, dim=2, timeout=0.5)
+    model = ExternalModel(command, dim=2, timeout=0.5)
     with pytest.raises(ProtocolTimeout):
         model.predict_batch(np.zeros((2, 2)))
     assert model._proc is None
@@ -115,7 +115,7 @@ def test_timeout(tmp_path):
 
 def test_nonzero_exit_reported(tmp_path):
     command = _stub(tmp_path, "crash.py", CRASH)
-    model = external_model(command, dim=2)
+    model = ExternalModel(command, dim=2)
     with pytest.raises(ProcessFailed, match="exit status 9"):
         model.predict_batch(np.zeros((2, 2)))
     assert model._proc is None
@@ -123,12 +123,12 @@ def test_nonzero_exit_reported(tmp_path):
 
 def test_unspawnable_command():
     with pytest.raises(ProcessFailed):
-        external_model("/no/such/binary-xyz", dim=2).predict_batch(np.zeros((1, 2)))
+        ExternalModel("/no/such/binary-xyz", dim=2).predict_batch(np.zeros((1, 2)))
 
 
 def test_close_is_idempotent(tmp_path):
     command = _stub(tmp_path, "echo.py", ECHO_FIRST)
-    model = external_model(command, dim=1)
+    model = ExternalModel(command, dim=1)
     model.predict_batch(np.array([[1.0]]))
     model.close()
     model.close()
@@ -158,7 +158,7 @@ def test_recovers_cleanly_after_timeout(tmp_path):
     # the replacement process must not see stale lines from the killed one
     flag = tmp_path / "slept-once"
     command = _stub(tmp_path, "sleep_once.py", SLEEP_ONCE) + f" {flag}"
-    model = external_model(command, dim=1, timeout=0.5)
+    model = ExternalModel(command, dim=1, timeout=0.5)
     with pytest.raises(ProtocolTimeout):
         model.predict_batch(np.array([[1.0]]))
     out = model.predict_batch(np.array([[2.5], [3.5]]))
@@ -177,7 +177,7 @@ def test_timeout_covers_a_blocked_write(tmp_path):
     # the child stops reading after the header, so the request (far larger
     # than a pipe buffer) can never be written in full
     command = _stub(tmp_path, "header_only.py", HEADER_ONLY)
-    model = external_model(command, dim=4, timeout=1.0)
+    model = ExternalModel(command, dim=4, timeout=1.0)
     outcome = []
 
     def call():
@@ -215,7 +215,7 @@ while True:
 
 def test_reply_after_end_fails_its_batch(tmp_path):
     command = _stub(tmp_path, "duplicate.py", DUPLICATE_REPLY)
-    model = external_model(command, dim=1)
+    model = ExternalModel(command, dim=1)
     with pytest.raises(ProcessFailed, match="after END"):
         model.predict_batch(np.array([[3.0]]))
     assert model._proc is None
@@ -229,7 +229,7 @@ def test_protocol_failure_closes_stdin_before_waiting(tmp_path):
     # the child still reads its stdin, so end-of-input lets it exit on its own
     # instead of being killed after the grace period
     command = _stub(tmp_path, "duplicate.py", DUPLICATE_REPLY)
-    model = external_model(command, dim=1)
+    model = ExternalModel(command, dim=1)
     with pytest.raises(ProcessFailed, match=r"after END \(exit status 0\)"):
         model.predict_batch(np.array([[3.0]]))
 
@@ -253,7 +253,7 @@ while True:
 
 def test_output_between_batches_fails_the_next_batch(tmp_path):
     command = _stub(tmp_path, "stray.py", STRAY_BETWEEN_BATCHES)
-    model = external_model(command, dim=1)
+    model = ExternalModel(command, dim=1)
     assert list(model.predict_batch(np.array([[3.0]]))) == [3.0]
     time.sleep(1.0)
     with pytest.raises(ProcessFailed, match="outside a batch's reply"):
@@ -272,7 +272,7 @@ time.sleep(60)
 
 def test_reply_before_request_is_read_fails(tmp_path):
     command = _stub(tmp_path, "early.py", EARLY_REPLY)
-    model = external_model(command, dim=4, timeout=20.0)
+    model = ExternalModel(command, dim=4, timeout=20.0)
     start = time.monotonic()
     with pytest.raises(ProcessFailed, match="before reading its whole request"):
         model.predict_batch(np.zeros((50_000, 4)))
@@ -293,7 +293,7 @@ time.sleep(60)
 
 def test_malformed_line_fails_before_the_deadline(tmp_path):
     command = _stub(tmp_path, "oops.py", MALFORMED_THEN_SLEEP)
-    model = external_model(command, dim=2, timeout=30.0)
+    model = ExternalModel(command, dim=2, timeout=30.0)
     start = time.monotonic()
     with pytest.raises(ProcessFailed, match="reply line 2: 'oops'"):
         model.predict_batch(np.zeros((3, 2)))
@@ -321,6 +321,6 @@ while True:
 def test_crlf_replies_round_trip(tmp_path):
     command = _stub(tmp_path, "crlf.py", CRLF)
     pts = np.array([[0.1, 5.0], [-3.75, 5.0], [1e-300, 5.0]])
-    with external_model(command, dim=2) as model:
+    with ExternalModel(command, dim=2) as model:
         assert np.array_equal(model.predict_batch(pts), pts[:, 0])
         assert np.array_equal(model.predict_batch(pts[::-1]), pts[::-1, 0])

@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nshapley import _kernels
+from _exact_oracle import enumerate_subsets, zeta_transform
 from nshapley.lattice import (
     SubsetTable,
-    enumerate_subsets,
     indices_from_mask,
     mask_from_indices,
     moebius_transform,
     popcount,
     subset_key,
-    zeta_transform,
 )
 
 

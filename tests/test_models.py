@@ -7,17 +7,16 @@ from _exact_oracle import cell_center_grid, entries, fit_additive_marginal_means
 from nshapley.core import shapley_gam
 from nshapley.lattice import popcount
 from nshapley.models import (
-    CheckerboardSpec,
+    CheckerboardModel,
     ComponentMap,
     ConstantComponent,
+    KnnModel,
     LookupComponent,
     PolyFactor,
+    PredictFn,
     ProductComponent,
     SineFactor,
     StepFactor,
-    additive_model,
-    checkerboard,
-    knn_model,
 )
 from nshapley.valuefn import InterventionalValueFunction, build_value_table
 
@@ -30,8 +29,9 @@ def test_additive_model_by_hand():
             ProductComponent((1,), (PolyFactor((0.0, -1.0)),)),  # -x1
         ],
     )
-    model = additive_model(comps)
-    assert model.predict(np.array([2.0, 3.0])) == 1.0
+    assert isinstance(comps, PredictFn)
+    assert comps.predict(np.array([2.0, 3.0])) == 1.0
+    assert comps.predict_batch([[2.0, 3.0], [0.0, 1.0]]).tolist() == [1.0, -1.0]
 
 
 def test_additive_pairwise_term():
@@ -43,13 +43,12 @@ def test_additive_pairwise_term():
             )
         ],
     )
-    model = additive_model(comps)
-    assert model.predict(np.array([3.0, 4.0])) == 12.0
-    assert model.order == 2
+    assert comps.predict(np.array([3.0, 4.0])) == 12.0
+    assert comps.order == 2
 
 
 def test_additive_empty_map_is_zero():
-    model = additive_model(ComponentMap(3, []))
+    model = ComponentMap(3, [])
     assert model.predict(np.ones(3)) == 0.0
     assert model.order == 0
 
@@ -112,7 +111,7 @@ def test_lookup_clamps_and_counts():
     out = comp.evaluate(np.array([[-5.0], [0.5], [2.0]]))
     assert list(out) == [0.0, 5.0, 10.0]
     assert comp.clamped_evaluations == 2
-    model = additive_model(ComponentMap(1, [comp]))
+    model = ComponentMap(1, [comp])
     model.predict_batch(np.array([[-1.0]]))
     assert model.clamped_evaluations == 3
 
@@ -127,14 +126,14 @@ def test_lookup_validation():
 
 
 def test_checkerboard_hand_values():
-    model = checkerboard(CheckerboardSpec(dim=2, granularity=2))
+    model = CheckerboardModel(dim=2, granularity=2)
     assert model.predict(np.array([0.25, 0.25])) == 1.0
     assert model.predict(np.array([0.25, 0.75])) == 0.0
     assert model.predict(np.array([0.75, 0.75])) == 1.0
 
 
 def test_checkerboard_single_feature_is_a_step():
-    model = checkerboard(CheckerboardSpec(dim=1, granularity=2))
+    model = CheckerboardModel(dim=1, granularity=2)
     xs = np.linspace(0.0, 1.0, 21).reshape(-1, 1)
     vals = model.predict_batch(xs)
     assert np.all(vals[xs[:, 0] < 0.5] == 1.0)
@@ -142,19 +141,20 @@ def test_checkerboard_single_feature_is_a_step():
 
 
 def test_checkerboard_clamps_inputs():
-    model = checkerboard(CheckerboardSpec(dim=2, granularity=2))
+    model = CheckerboardModel(dim=2, granularity=2)
     assert model.predict(np.array([-3.0, 9.0])) == model.predict(np.array([0.0, 1.0]))
 
 
 def test_checkerboard_spec_validation():
-    with pytest.raises(ValueError):
-        CheckerboardSpec(dim=2, granularity=3)  # odd
-    with pytest.raises(ValueError):
-        CheckerboardSpec(dim=2, granularity=0)
-    with pytest.raises(ValueError):
-        CheckerboardSpec(dim=2, active=(5,))
-    spec = CheckerboardSpec(dim=3)
-    assert spec.active == (0, 1, 2)
+    with pytest.raises(ValueError, match="granularity must be even"):
+        CheckerboardModel(dim=2, granularity=3)  # odd
+    with pytest.raises(ValueError, match="granularity must be even"):
+        CheckerboardModel(dim=2, granularity=0)
+    with pytest.raises(ValueError, match="out of range"):
+        CheckerboardModel(dim=2, active=(5,))
+    model = CheckerboardModel(dim=3)
+    assert model.active == (0, 1, 2)
+    assert model == CheckerboardModel(3, 2, (0, 1, 2))
 
 
 @pytest.mark.parametrize("active_size,granularity", [(2, 2), (3, 2), (4, 2), (3, 4)])
@@ -162,8 +162,7 @@ def test_checkerboard_concentrates_on_active_set(active_size, granularity):
     # under the cell-center product background, every component except
     # the empty set and the full active set vanishes
     dim = active_size
-    spec = CheckerboardSpec(dim=dim, granularity=granularity)
-    model = checkerboard(spec)
+    model = CheckerboardModel(dim=dim, granularity=granularity)
     background = cell_center_grid(dim, granularity)
     vf = InterventionalValueFunction(model, background)
     x = background[1]
@@ -190,14 +189,14 @@ def test_cell_center_grid():
 def test_knn_exact_hit_and_global_mean():
     train = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     labels = np.array([1.0, 2.0, 3.0, 4.0])
-    assert knn_model(train, labels, 1).predict(train[2]) == 3.0
-    assert knn_model(train, labels, 4).predict(np.array([9.0, -4.0])) == 2.5
+    assert KnnModel(train, labels, 1).predict(train[2]) == 3.0
+    assert KnnModel(train, labels, 4).predict(np.array([9.0, -4.0])) == 2.5
 
 
 def test_knn_hand_checkable_three_neighbours():
     train = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [3.0, 3.0], [2.0, 2.0]])
     labels = np.array([10.0, 20.0, 30.0, 40.0, 50.0])
-    model = knn_model(train, labels, 3)
+    model = KnnModel(train, labels, 3)
     query = np.array([0.1, 0.1])
     # brute-force oracle: sort by (distance, index)
     d2 = ((train - query) ** 2).sum(axis=1)
@@ -211,23 +210,23 @@ def test_knn_tie_breaks_toward_lower_index():
     train = np.array([[-1.0], [1.0], [2.0]])
     labels = np.array([0.0, 100.0, 7.0])
     # query equidistant from rows 0 and 1: the lower index wins
-    assert knn_model(train, labels, 1).predict(np.array([0.0])) == 0.0
+    assert KnnModel(train, labels, 1).predict(np.array([0.0])) == 0.0
 
 
 def test_knn_validation():
     with pytest.raises(ValueError):
-        knn_model(np.empty((0, 2)), np.empty(0), 1)
+        KnnModel(np.empty((0, 2)), np.empty(0), 1)
     with pytest.raises(ValueError):
-        knn_model(np.zeros((3, 2)), np.zeros(3), 4)
+        KnnModel(np.zeros((3, 2)), np.zeros(3), 4)
     with pytest.raises(ValueError):
-        knn_model(np.zeros((3, 2)), np.zeros(2), 1)
+        KnnModel(np.zeros((3, 2)), np.zeros(2), 1)
 
 
 def test_models_are_deterministic():
     rng = np.random.default_rng(31)
     train = rng.normal(size=(30, 3))
     labels = rng.normal(size=30)
-    model = knn_model(train, labels, 5)
+    model = KnnModel(train, labels, 5)
     pts = rng.normal(size=(10, 3))
     first = model.predict_batch(pts)
     second = model.predict_batch(pts)
@@ -249,7 +248,7 @@ def test_additive_models_have_no_components_above_their_order():
                     coefficient=float(rng.normal()),
                 )
             )
-        model = additive_model(ComponentMap(dim, comps))
+        model = ComponentMap(dim, comps)
         background = rng.normal(size=(16, dim))
         gam = shapley_gam(
             build_value_table(

@@ -140,16 +140,14 @@ def test_observational_batch_flags_offending_subset():
 
 
 def test_gam_induced_value_by_hand():
-    comps = ComponentMap(
-        2,
-        [
-            ConstantComponent(1.0),
-            ProductComponent((0,), (PolyFactor((0.0, 1.0)),)),  # g_{0} = x0
-        ],
-    )
+    declared = [
+        ConstantComponent(1.0),
+        ProductComponent((0,), (PolyFactor((0.0, 1.0)),)),  # g_{0} = x0
+    ]
     x = np.array([2.0, 7.0])
-    assert GamInducedValueFunction(comps).batch_evaluate(x).tolist() == [1.0, 3.0, 1.0, 3.0]
-    assert [gam_induced_value(comps, x, mask) for mask in range(4)] == [1.0, 3.0, 1.0, 3.0]
+    vf = GamInducedValueFunction(ComponentMap(2, declared))
+    assert vf.batch_evaluate(x).tolist() == [1.0, 3.0, 1.0, 3.0]
+    assert [gam_induced_value(declared, x, mask) for mask in range(4)] == [1.0, 3.0, 1.0, 3.0]
 
 
 def test_gam_induced_roundtrip_recovers_components():
