@@ -210,6 +210,11 @@ def _parse_points(raw) -> str | tuple[int, ...]:
     points = _numbers(raw.split(",") if isinstance(raw, str) else raw, "points", int)
     if not points:
         raise ConfigError("points: the list selects no rows")
+    seen = set()
+    for idx in points:
+        if idx in seen:
+            raise ConfigError(f"points: row {idx} is listed more than once")
+        seen.add(idx)
     return points
 
 

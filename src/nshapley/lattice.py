@@ -6,13 +6,16 @@ representation everywhere: at d <= 16 a table is at most 512 KiB of
 float64 and wins on locality over any sparse map. The dimension is hard
 capped at 24.
 
-The workhorse transform is ``moebius_transform``, out[S] = alternating
-sum (-1)^(|S|-|L|) in[L] over L subset of S, which turns a value table
-into its per-subset components. Its inverse, the cumulative subset sum,
-is the kernel ``_kernels.zeta_subsets``. Both run in O(d * 2**d) using
-an in-place sweep over bit positions 0..d-1. The sweep order is fixed,
-so results are bit-identical across runs regardless of how many tables
-are processed in parallel.
+The Moebius transform, out[S] = alternating sum (-1)^(|S|-|L|) in[L]
+over L subset of S, turns a value table into its per-subset components;
+the engine runs it as the kernel ``_kernels.moebius_subsets``. Its
+inverse, the cumulative subset sum, is the kernel
+``_kernels.zeta_subsets``. Both run in O(d * 2**d) using an in-place
+sweep over bit positions 0..d-1. The sweep order is fixed, so results
+are bit-identical across runs regardless of how many tables are
+processed in parallel. ``moebius_transform`` wraps the kernel for a
+``SubsetTable``; it is a helper for tests and benchmarks, not a step of
+the engine.
 """
 
 from __future__ import annotations
@@ -115,6 +118,7 @@ def moebius_transform(table: SubsetTable) -> SubsetTable:
 
     Turns a cumulative subset table (a value table) into its per-subset
     components. Exact inverse of the cumulative subset sum
-    ``_kernels.zeta_subsets``.
+    ``_kernels.zeta_subsets``. A test and benchmark helper: ``core``
+    calls ``_kernels.moebius_subsets`` directly.
     """
     return SubsetTable(table.dim, _kernels.moebius_subsets(table.values, table.dim))

@@ -186,6 +186,9 @@ class LookupComponent(Component):
     Queries outside the grid are clamped to the boundary; every batch
     that clamps at least one row bumps ``clamped_evaluations`` by the
     number of affected rows (advisory diagnostics, not thread-exact).
+    The count is over the rows the component is given: for an
+    interventional value table of a ``ComponentMap`` those are its
+    2**|L| * n_bg reduced rows, not the 2**d * n_bg hybrid rows.
     """
 
     def __init__(self, features, lo, hi, values):
@@ -233,24 +236,31 @@ class ComponentMap(PredictFn):
         if not 0 <= dim <= MAX_DIM:
             raise ValueError(f"dim must be in [0, {MAX_DIM}], got {dim}")
         self.dim = dim
-        grouped: dict[int, list[Component]] = {}
+        components = tuple(components)
         for comp in components:
-            mask = comp.mask
-            if mask >> dim:
+            if comp.mask >> dim:
                 raise ValueError(
                     f"component over features {comp.features} does not fit dim={dim}"
                 )
-            grouped.setdefault(mask, []).append(comp)
-        self._by_mask = {mask: tuple(grouped[mask]) for mask in sorted(grouped)}
-        self.order = max((popcount(m) for m in self._by_mask), default=0)
+        # the order predict_batch adds them in: ascending mask, and the
+        # declaration order among components on the same mask
+        self.components = tuple(sorted(components, key=lambda c: c.mask))
+        self.order = max((popcount(c.mask) for c in self.components), default=0)
 
     @property
     def clamped_evaluations(self) -> int:
-        """Total boundary clamps across all lookup components."""
+        """Total boundary clamps across all lookup components.
+
+        Counted over the rows the components are evaluated on. An
+        interventional value table evaluates a component on L only on
+        its 2**|L| * n_bg reduced rows, so a clamping query counts once
+        per reduced row, not once for every one of the 2**d * n_bg
+        hybrid rows that share it (unless the map's reduced tables are
+        too large and the table takes the generic route).
+        """
         return sum(
             comp.clamped_evaluations
-            for comps in self._by_mask.values()
-            for comp in comps
+            for comp in self.components
             if isinstance(comp, LookupComponent)
         )
 
@@ -258,16 +268,15 @@ class ComponentMap(PredictFn):
         """Dense per-subset values g_S(x) at a single point (zeros off support)."""
         row = as_points(point, self.dim)
         table = np.zeros(1 << self.dim)
-        for mask, comps in self._by_mask.items():
-            table[mask] = sum(float(c.evaluate(row)[0]) for c in comps)
+        for comp in self.components:
+            table[comp.mask] += float(comp.evaluate(row)[0])
         return table
 
     def predict_batch(self, points):
         pts = as_points(points, self.dim)
         out = np.zeros(pts.shape[0])
-        for comps in self._by_mask.values():
-            for comp in comps:
-                out += comp.evaluate(pts)
+        for comp in self.components:
+            out += comp.evaluate(pts)
         return out
 
 

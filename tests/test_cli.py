@@ -607,6 +607,21 @@ def test_knn_model_with_label_column(tmp_path):
     assert payload["mean_degree"] > 1.0  # the XOR labels force interaction
 
 
+def test_a_repeated_point_is_a_clean_error(product_fixture, capsys):
+    code = run_cli(
+        "degree",
+        "--data", product_fixture,
+        "--model", json.dumps(PRODUCT_MODEL),
+        "--value-fn", "interventional",
+        "--background", "0:4",
+        "--points", "4,4,0",
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "nshapley: error: points: row 4 is listed more than once\n"
+
+
 def test_errors_exit_with_code_two(tmp_path, capsys):
     assert run_cli("explain", "--data", tmp_path / "missing.csv",
                    "--model", "checkerboard", "--value-fn", "interventional") == 2

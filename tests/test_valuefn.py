@@ -11,11 +11,15 @@ from _exact_oracle import (
     submasks,
 )
 from nshapley.models import (
+    Component,
     ComponentMap,
     ConstantComponent,
+    LookupComponent,
     PolyFactor,
     PredictFn,
     ProductComponent,
+    SineFactor,
+    StepFactor,
 )
 from nshapley.valuefn import (
     GamInducedValueFunction,
@@ -61,6 +65,118 @@ def linear_component_map(dim):
             ProductComponent((j,), (PolyFactor((0.0, rng.uniform(0.5, 2.0))),))
         )
     return ComponentMap(dim, comps)
+
+
+class Opaque(PredictFn):
+    """Hides a model's structure: the value function sees a bare PredictFn."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dim = inner.dim
+
+    def predict_batch(self, points):
+        return self.inner.predict_batch(points)
+
+
+class RowCounter(Component):
+    """Delegates to a component and counts the rows it is evaluated on."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.features = inner.features
+        self.rows = 0
+
+    def evaluate(self, points):
+        self.rows += points.shape[0]
+        return self.inner.evaluate(points)
+
+
+def mixed_component_map(dim, rng):
+    """Constant, poly, sine, step and lookup terms, with repeated masks."""
+    def feats(k):
+        return tuple(sorted(rng.choice(dim, size=k, replace=False).tolist()))
+
+    def factor():
+        kind = int(rng.integers(0, 3))
+        if kind == 0:
+            return PolyFactor(tuple(rng.normal(size=int(rng.integers(1, 6)))))
+        if kind == 1:
+            return SineFactor(rng.normal(), rng.normal())
+        return StepFactor(float(rng.choice([0.0, rng.normal()])))
+
+    comps = [ConstantComponent(rng.normal()), ConstantComponent(rng.normal())]
+    for k in (1, 1, 2, 2, 3):
+        f = feats(k)
+        comps.append(ProductComponent(f, tuple(factor() for _ in f), rng.normal()))
+        comps.append(ProductComponent(f, tuple(factor() for _ in f), rng.normal()))
+    f = feats(2)
+    grid = rng.normal(size=(3, 4))
+    comps.append(LookupComponent(f, [-1.0, -0.5], [1.0, 0.5], grid))
+    comps.append(ProductComponent(f, (StepFactor(0.0), SineFactor()), -1.0))
+    return ComponentMap(dim, comps)
+
+
+def with_negative_zeros(rows, rng):
+    rows = rows.copy()
+    rows[rng.random(rows.shape) < 0.2] = -0.0
+    return rows
+
+
+@pytest.mark.parametrize("n_bg", [1, 7, 64, 129, 300])
+def test_component_map_route_is_bit_identical_to_the_generic_route(n_bg):
+    # dim 9 has 512 masks, so n_bg 129 and 300 span several chunks, and
+    # n_bg > 128 crosses numpy's pairwise-summation block in the mean
+    rng = np.random.default_rng(1000 + n_bg)
+    dim = 9
+    maps = [mixed_component_map(dim, rng) for _ in range(3)] + [ComponentMap(dim, [])]
+    for model in maps:
+        background = with_negative_zeros(rng.normal(size=(n_bg, dim)), rng)
+        fast = InterventionalValueFunction(model, background)
+        generic = InterventionalValueFunction(Opaque(model), background)
+        for _ in range(3):
+            x = with_negative_zeros(rng.normal(size=dim), rng)
+            assert np.array_equal(fast.batch_evaluate(x), generic.batch_evaluate(x))
+
+
+def test_component_map_route_evaluates_only_the_reduced_rows():
+    rng = np.random.default_rng(8)
+    dim, n_bg = 6, 5
+    counters = [RowCounter(c) for c in mixed_component_map(dim, rng).components]
+    model = ComponentMap(dim, counters)
+    background = rng.normal(size=(n_bg, dim))
+    x = rng.normal(size=dim)
+    fast = InterventionalValueFunction(model, background).batch_evaluate(x)
+    assert [c.rows for c in counters] == [(1 << len(c.features)) * n_bg for c in counters]
+    for c in counters:
+        c.rows = 0
+    # reduced tables over the cap: the map takes the generic route
+    capped = InterventionalValueFunction(model, background)
+    capped._TABLE_ROWS = 0
+    assert np.array_equal(capped.batch_evaluate(x), fast)
+    assert [c.rows for c in counters] == [(1 << dim) * n_bg] * len(counters)
+    # three masks a chunk: the reduced tables and the gather come in pieces
+    small = InterventionalValueFunction(model, background)
+    small._TARGET_ROWS = 3 * n_bg
+    assert np.array_equal(small.batch_evaluate(x), fast)
+
+
+def test_interventional_lookup_clamps_count_the_reduced_rows():
+    # x1 = 5 lies outside the grid; the background lies inside it
+    dim, n_bg = 3, 4
+    background = np.linspace(0.1, 0.9, n_bg * dim).reshape(n_bg, dim)
+    x = np.array([0.5, 5.0, 0.5])
+
+    def lookup_map():
+        return ComponentMap(dim, [LookupComponent((1,), [0.0], [1.0], [0.0, 1.0])])
+
+    model = lookup_map()
+    InterventionalValueFunction(model, background).batch_evaluate(x)
+    # only T = {1} of the component's two reduced masks reads x1: n_bg rows
+    assert model.clamped_evaluations == n_bg
+    model = lookup_map()
+    InterventionalValueFunction(Opaque(model), background).batch_evaluate(x)
+    # the generic route sees each such row once per mask S containing 1
+    assert model.clamped_evaluations == (1 << (dim - 1)) * n_bg
 
 
 def test_interventional_hand_example():
@@ -219,6 +335,9 @@ def test_subset_compliance_exact():
     model = Mixed()
     anywhere = [
         InterventionalValueFunction(model, data[:10]),
+        InterventionalValueFunction(
+            mixed_component_map(dim, np.random.default_rng(6)), data[:10]
+        ),
         GamInducedValueFunction(linear_component_map(dim)),
     ]
     observational = ObservationalExactMatchValueFunction(model, data)
