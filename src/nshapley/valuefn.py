@@ -16,9 +16,12 @@ are provided:
   sum over components of 2**|L| * n_bg rows for a ``ComponentMap``,
   whose components are evaluated on the columns they read,
 * observational exact-match: empirical conditional mean of f over the
-  data rows that agree with x on S bitwise (discrete data only; when no
-  row matches, that conditional is undefined and ``NoMatchingRows`` is
-  raised rather than silently switching semantics mid-table),
+  data rows whose S columns compare equal (``==``) to x's, so -0.0
+  matches 0.0 (discrete data only; when no row matches, that
+  conditional is undefined and ``NoMatchingRows`` is raised rather than
+  silently switching semantics mid-table); one mean per closed
+  coalition, at most 2**d of them, plus an O(d * 2**d) integer sweep,
+  and the table is the per-mask definition's to the last bit,
 * decomposition-induced: cumulative sums of declared components, the
   canonical value function whose decomposition is the components
   themselves.
@@ -253,8 +256,17 @@ class InterventionalValueFunction(ValueFunction):
 class ObservationalExactMatchValueFunction(ValueFunction):
     """Empirical conditional mean of f given exact agreement with x on S.
 
-    Only meaningful for discrete-valued features. The empty coalition
-    yields the global mean of f over the data.
+    Only meaningful for discrete-valued features. A row matches S when
+    its S columns compare equal (``==``) to x's, so -0.0 matches 0.0.
+    The empty coalition yields the global mean of f over the data.
+
+    Cost: f is evaluated once per data row, at construction. A table
+    takes one mean over the data per closed coalition (one that equals
+    the AND of the agreement masks of the rows it matches), at most
+    2**d of them, plus an O(d * 2**d) integer sweep that finds each
+    mask's closure. Every entry is the ``np.mean`` of the same rows in
+    the same order as the per-mask definition, so the table is the same
+    to the last bit.
     """
 
     def __init__(self, model: PredictFn, data):
@@ -268,18 +280,28 @@ class ObservationalExactMatchValueFunction(ValueFunction):
     def batch_evaluate(self, point) -> np.ndarray:
         """The mean over the matching rows, in row order, for each mask.
 
+        The rows matching S are exactly the rows matching its closure,
+        the AND of their agreement masks, so only closed masks take a
+        mean; every other entry is copied from its closure's.
+
         Raises ``NoMatchingRows`` for the lowest mask no row matches.
         """
         x = _as_point(point, self.dim)
         # bit j of agree[r] is set iff row r equals x in column j
         agree = (self.data == x) @ (1 << np.arange(self.dim, dtype=np.int64))
+        # closure[S]: AND of the agreement masks that contain S, -1 if none does
+        closure = np.full(1 << self.dim, -1, dtype=np.int64)
+        closure[agree] = agree
+        for i in range(self.dim):
+            view = closure.reshape(-1, 2, 1 << i)
+            view[:, 0, :] &= view[:, 1, :]
+        missing = np.flatnonzero(closure < 0)
+        if missing.size:
+            raise NoMatchingRows(int(missing[0]))
         out = np.empty(1 << self.dim)
-        for mask in range(1 << self.dim):
-            match = (agree & mask) == mask
-            if not match.any():
-                raise NoMatchingRows(mask)
-            out[mask] = np.mean(self._predictions[match])
-        return out
+        for mask in np.flatnonzero(closure == np.arange(closure.size)):
+            out[mask] = np.mean(self._predictions[(agree & mask) == mask])
+        return out[closure]
 
 
 # ---------------------------------------------------------------------------

@@ -451,3 +451,103 @@ def test_observational_table_equals_the_per_mask_oracle(seed):
         else:
             assert np.array_equal(vf.batch_evaluate(x), np.array(expected))
     assert undefined
+
+
+class SignedWavy(PredictFn):
+    """Large, sign-of-zero-sensitive outputs: any change in summation order shows."""
+
+    def __init__(self, dim, rng):
+        self.dim = dim
+        self.weights = rng.normal(size=dim)
+
+    def predict_batch(self, points):
+        pts = np.asarray(points, dtype=np.float64)
+        return np.sin(pts @ self.weights) * 1e3 + np.copysign(1.0, pts[:, 0]) / 3.0
+
+
+def signed_zeros(rows, rng):
+    """The same rows with about half of their zeros turned into -0.0."""
+    return np.where((rows == 0) & (rng.random(rows.shape) < 0.5), -0.0, rows)
+
+
+def oracle_table(model, data, x, masks):
+    return [observational_exactmatch_value(model, data, x, m) for m in masks]
+
+
+@pytest.mark.parametrize("dim", range(8, 13))
+def test_observational_table_is_bit_identical_with_ties_and_signed_zeros(dim):
+    rng = np.random.default_rng(100 + dim)
+    model = SignedWavy(dim, rng)
+    rows = rng.integers(0, 2 + dim % 3, size=(int(rng.integers(20, 80)), dim))
+    # duplicated rows, and zeros of both signs
+    rows = np.concatenate([rows, rows[rng.integers(0, len(rows), size=len(rows) // 2)]])
+    data = signed_zeros(rows.astype(np.float64), rng)
+    vf = ObservationalExactMatchValueFunction(model, data)
+    for x in data[rng.integers(0, len(data), size=2)]:
+        assert np.array_equal(vf.batch_evaluate(x), oracle_table(model, data, x, range(1 << dim)))
+    # a single row defines every entry for itself: all of them are its prediction
+    single = ObservationalExactMatchValueFunction(model, data[:1])
+    expected = oracle_table(model, data[:1], data[0], range(1 << dim))
+    assert np.array_equal(single.batch_evaluate(data[0]), expected)
+    assert len(set(expected)) == 1
+
+
+@pytest.mark.parametrize("dim", [8, 10, 12])
+def test_observational_undefined_entry_names_the_oracles_subset(dim):
+    rng = np.random.default_rng(200 + dim)
+    model = SignedWavy(dim, rng)
+    data = signed_zeros(rng.integers(0, 3, size=(60, dim)).astype(np.float64), rng)
+    vf = ObservationalExactMatchValueFunction(model, data)
+    # grid points off the data, some with a level no row takes
+    points = rng.integers(0, 3, size=(4, dim)).astype(np.float64)
+    points[1:, rng.integers(0, dim)] = 3.0
+    for x in points:
+        expected = oracle_table(model, data, x, range(1 << dim))
+        assert None in expected
+        with pytest.raises(NoMatchingRows) as err:
+            vf.batch_evaluate(x)
+        assert err.value.subset == expected.index(None)
+
+
+def test_observational_table_on_the_full_binary_grid_where_every_mask_is_closed():
+    # each agreement pattern occurs, so no two masks share their matched rows
+    dim = 10
+    rng = np.random.default_rng(31)
+    grids = np.meshgrid(*([np.array([0.0, 1.0])] * dim), indexing="ij")
+    data = np.stack([g.ravel() for g in grids], axis=1)[rng.permutation(1 << dim)]
+    model = SignedWavy(dim, rng)
+    vf = ObservationalExactMatchValueFunction(model, data)
+    for x in data[:2]:
+        expected = oracle_table(model, data, x, range(1 << dim))
+        assert np.array_equal(vf.batch_evaluate(x), expected)
+        assert len(set(expected)) == 1 << dim
+
+
+def test_observational_table_at_d16_on_sampled_masks():
+    dim = 16
+    rng = np.random.default_rng(41)
+    model = SignedWavy(dim, rng)
+    data = signed_zeros(rng.integers(0, 3, size=(2000, dim)).astype(np.float64), rng)
+    vf = ObservationalExactMatchValueFunction(model, data)
+    small = [m for m in range(1 << dim) if bin(m).count("1") <= 2]
+    masks = small + [(1 << dim) - 1] + rng.integers(0, 1 << dim, size=256).tolist()
+    x = data[int(rng.integers(0, len(data)))]
+    table = vf.batch_evaluate(x)
+    assert np.array_equal(table[masks], oracle_table(model, data, x, masks))
+
+
+def test_observational_matching_compares_values_so_signed_zeros_agree():
+    class Sign(PredictFn):
+        dim = 2
+
+        def predict_batch(self, points):
+            return np.copysign(1.0, np.asarray(points, dtype=np.float64)[:, 0])
+
+    model = Sign()
+    data = np.array([[-0.0, 1.0], [0.0, 1.0], [0.0, 2.0]])
+    vf = ObservationalExactMatchValueFunction(model, data)
+    for zero in (0.0, -0.0):
+        x = np.array([zero, 1.0])
+        # -0.0 == 0.0, so both signed-zero rows match on feature 0
+        assert vf.batch_evaluate(x).tolist() == [1 / 3, 1 / 3, 0.0, 0.0]
+        assert observational_exactmatch_value(model, data, x, 0b11) == 0.0
