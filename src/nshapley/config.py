@@ -470,10 +470,11 @@ def run_explain(config: RunConfig, full_order_only: bool = False) -> str | None:
         emit, dumps, items = emit_csv, dumps_csv, labelled
     else:
         emit, dumps, items = emit_records, dumps_records, (index for _, index in labelled)
-    if not config.out:
-        return dumps(items)
-    with results_file(config.out) as fh:
-        emit(items, fh)
+    with prepared.model:
+        if not config.out:
+            return dumps(items)
+        with results_file(config.out) as fh:
+            emit(items, fh)
     return None
 
 
@@ -485,11 +486,12 @@ def run_gam(config: RunConfig) -> str | None:
 def run_degree(config: RunConfig) -> str:
     """Interaction-degree report over the selected points."""
     prepared = _prepare(config)
-    if not config.out:
-        return _degree_text(config, prepared)
-    with results_file(config.out) as fh:
-        text = _degree_text(config, prepared)
-        fh.write(text)
+    with prepared.model:
+        if not config.out:
+            return _degree_text(config, prepared)
+        with results_file(config.out) as fh:
+            text = _degree_text(config, prepared)
+            fh.write(text)
     return text
 
 
@@ -527,11 +529,12 @@ def run_check(config: RunConfig, tol: float = 1e-9) -> tuple[str, bool]:
     brute-force per-feature oracle up to dim 12.
     """
     prepared = _prepare(config)
-    if not config.out:
-        return _check_report(prepared, tol)
-    with results_file(config.out) as fh:
-        text, ok = _check_report(prepared, tol)
-        fh.write(text)
+    with prepared.model:
+        if not config.out:
+            return _check_report(prepared, tol)
+        with results_file(config.out) as fh:
+            text, ok = _check_report(prepared, tol)
+            fh.write(text)
     return text, ok
 
 
@@ -599,7 +602,8 @@ def run_plot(config: RunConfig, mode: str, feature: int | None, out: str) -> lis
     if mode == "dependence" and (feature is None or not 0 <= feature < dim):
         raise ConfigError(f"plot: dependence needs a feature index in 0..{dim - 1}, got {feature}")
     written: list[str] = []
-    per_point = {pid: _indices_for_point(prepared, pid) for pid in prepared.point_ids}
+    with prepared.model:
+        per_point = {pid: _indices_for_point(prepared, pid) for pid in prepared.point_ids}
     if mode == "bars":
         jobs = [(pid, ix) for pid in prepared.point_ids for ix in per_point[pid]]
         single = len(jobs) == 1 and out.endswith(".svg")

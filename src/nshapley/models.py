@@ -74,6 +74,15 @@ class PredictFn(abc.ABC):
     def predict(self, point) -> float:
         return float(self.predict_batch(as_points(point, self.dim))[0])
 
+    def close(self):
+        """Release what the model holds; in-process models hold nothing."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
 
 # ---------------------------------------------------------------------------
 # Component grammar
@@ -394,14 +403,17 @@ class ExternalModel(PredictFn):
         model -> engine   row_count lines, one float each
                           "END"
 
-    Floats travel in round-trip decimal form (up to 17 significant
-    digits); reply lines end in ``\n`` or ``\r\n``. A process serves any
-    number of batches and is shut down by closing its stdin. The timeout
-    covers a whole batch, write and read. Output sent outside a batch's
-    reply fails that batch, and every failure ends the child (stdin
-    closed, killed if still running after a grace period). Access is
-    serialised internally; value-table construction batches coalitions
-    so per-call overhead stays amortised.
+    Request floats are Python ``repr`` text, the shortest decimal that
+    round-trips (up to 17 significant digits; ``-0.0``, ``nan``, ``inf``
+    and ``-inf`` as written). Each column's distinct values are formatted
+    once per batch and shared by the rows that hold them. Reply floats
+    are anything ``float()`` parses; reply lines end in ``\n`` or
+    ``\r\n``. A process serves any number of batches and is shut down by
+    closing its stdin. The timeout covers a whole batch, write and read.
+    Output sent outside a batch's reply fails that batch, and every
+    failure ends the child (stdin closed, killed if still running after a
+    grace period). Access is serialised internally; value-table
+    construction batches coalitions so per-call overhead stays amortised.
     """
 
     def __init__(self, command: str, dim: int, timeout: float = 60.0):
@@ -504,8 +516,15 @@ class ExternalModel(PredictFn):
     def predict_batch(self, points):
         pts = as_points(points, self.dim)
         n = pts.shape[0]
+        # hybrid rows repeat few values per column: repr each distinct bit
+        # pattern once (so -0.0 keeps its sign) and gather the strings
+        cols = []
+        for column in pts.T:
+            uniq, inv = np.unique(column.view(np.uint64), return_inverse=True)
+            text = np.array([repr(v) for v in uniq.view(np.float64).tolist()], dtype=object)
+            cols.append(text[inv].tolist())
         lines = [f"{_PROTOCOL_HEADER} {self.dim} {n}"]
-        lines.extend(",".join(repr(v) for v in row) for row in pts.tolist())
+        lines.extend(map(",".join, zip(*cols)))
         lines.append("END\n")
         request = memoryview("\n".join(lines).encode("ascii"))
         with self._lock:
@@ -518,12 +537,6 @@ class ExternalModel(PredictFn):
         with self._lock:
             if self._proc is not None:
                 self._reap(5.0)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
 
     def __del__(self):
         try:

@@ -24,7 +24,8 @@ own components.
 mappings the tests write by hand and an index's dense ``values`` array.
 ``oracle_record`` and ``oracle_csv`` are the dict-per-record and
 line-per-coalition writers the streamed results writers replaced,
-kept as the reference their bytes must match.
+kept as the reference their bytes must match. ``oracle_request`` is the
+per-value request encoder ``ExternalModel`` replaced, kept likewise.
 """
 
 from __future__ import annotations
@@ -229,6 +230,15 @@ def oracle_csv(labelled) -> str:
             for mask, value in entries(index).items()
         )
     return "\n".join(lines) + "\n"
+
+
+def oracle_request(points) -> bytes:
+    """One ``NSHAP-MODEL-V1`` request, one ``repr`` per value."""
+    rows = np.asarray(points, dtype=np.float64)
+    lines = [f"NSHAP-MODEL-V1 {rows.shape[1]} {rows.shape[0]}"]
+    lines.extend(",".join(repr(v) for v in row) for row in rows.tolist())
+    lines.append("END\n")
+    return "\n".join(lines).encode("ascii")
 
 
 def interventional_value(model, background, point, subset: int) -> float:

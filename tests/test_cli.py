@@ -826,3 +826,90 @@ def test_results_file_can_be_a_fifo(product_fixture, tmp_path, capsys):
     assert received == [expected]
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)  # written through, not replaced
     assert list(tmp_path.rglob("*.tmp")) == []
+
+
+BRIDGE_CHILD = """\
+import os
+import sys
+mode, pid_file, marker = sys.argv[1:]
+with open(pid_file, "w") as fh:
+    fh.write(str(os.getpid()))
+while True:
+    header = sys.stdin.readline()
+    if not header:
+        break
+    count = int(header.split()[2])
+    rows = [sys.stdin.readline() for _ in range(count)]
+    sys.stdin.readline()
+    if mode == "exits-before-replying":
+        sys.exit(5)
+    if mode == "exits-mid-reply":
+        sys.stdout.write("0.5\\n" * (count // 2))
+        sys.stdout.flush()
+        sys.exit(5)
+    if mode == "garbage-line":
+        sys.stdout.write("0.5\\nnot-a-number\\n")
+    elif mode == "nan":
+        sys.stdout.write("nan\\n" * count + "END\\n")
+    else:
+        products = "".join(repr(float(a) * float(b)) + "\\n" for a, b in (r.split(",") for r in rows))
+        tail = "7.0\\n" if mode == "line-after-end" else ""
+        sys.stdout.write(products + "END\\n" + tail)
+    sys.stdout.flush()
+open(marker, "w").close()
+"""
+
+
+def _degree_through_bridge(mode, product_fixture, tmp_path, out):
+    child = tmp_path / "bridge_child.py"
+    child.write_text(BRIDGE_CHILD)
+    pid_file, marker = tmp_path / "child.pid", tmp_path / "stdin-closed"
+    command = f"{sys.executable} {child} {mode} {pid_file} {marker}"
+    code = run_cli(
+        "degree",
+        "--data", product_fixture,
+        "--model", json.dumps({"type": "external", "command": command, "timeout": 30}),
+        "--value-fn", "interventional",
+        "--background", "0:4",
+        "--points", "4",
+        "--out", out,
+    )
+    return code, int(pid_file.read_text()), marker
+
+
+@pytest.mark.parametrize("mode", ["ok", "nan"])
+def test_the_cli_closes_the_model_when_a_run_ends(mode, product_fixture, tmp_path, monkeypatch):
+    from nshapley import config
+
+    built = []  # holds the model, so only an explicit close can end the child
+    build = config.build_model
+    monkeypatch.setattr(config, "build_model", lambda *a: built.append(build(*a)) or built[-1])
+    out = tmp_path / "degree.json"
+    code, _, marker = _degree_through_bridge(mode, product_fixture, tmp_path, out)
+    assert code == (0 if mode == "ok" else 2)
+    assert out.exists() == (mode == "ok")
+    assert marker.exists()  # the child saw its stdin close before main returned
+    assert built[0]._proc is None
+
+
+@pytest.mark.parametrize(
+    "mode, reason",
+    [
+        ("exits-mid-reply", "closed its output mid-batch"),
+        ("garbage-line", "malformed reply line 2: 'not-a-number'"),
+        ("line-after-end", "sent output after END"),
+        ("exits-before-replying", "closed its output mid-batch"),
+    ],
+)
+def test_a_misbehaving_child_is_a_clean_point_error(mode, reason, product_fixture, tmp_path, capsys):
+    out = tmp_path / "degree.json"
+    code, pid, _ = _degree_through_bridge(mode, product_fixture, tmp_path, out)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("nshapley: error: point 4: model ")
+    assert reason in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert not out.exists()
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)  # exited and reaped

@@ -6,7 +6,10 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from _exact_oracle import oracle_request
 from nshapley.models import ExternalModel, ProcessFailed, ProtocolTimeout
 
 ECHO_FIRST = """\
@@ -324,3 +327,83 @@ def test_crlf_replies_round_trip(tmp_path):
     with ExternalModel(command, dim=2) as model:
         assert np.array_equal(model.predict_batch(pts), pts[:, 0])
         assert np.array_equal(model.predict_batch(pts[::-1]), pts[::-1, 0])
+
+
+RECORDER = """\
+import sys
+log = sys.argv[1]
+inp, out = sys.stdin.buffer, sys.stdout.buffer
+while True:
+    header = inp.readline()
+    if not header:
+        break
+    count = int(header.split()[2])
+    body = b"".join(inp.readline() for _ in range(count + 1))
+    with open(log, "wb") as fh:
+        fh.write(header + body)
+    out.write(b"0\\n" * count + b"END\\n")
+    out.flush()
+"""
+
+
+@pytest.fixture(scope="module")
+def sent_request(tmp_path_factory):
+    """``sent_request(points)``: the bytes one recording child received for them."""
+    root = tmp_path_factory.mktemp("recorder")
+    stub = root / "recorder.py"
+    stub.write_text(RECORDER)
+    log = root / "request.bin"
+    models = {}
+
+    def send(points):
+        dim = points.shape[1]
+        if dim not in models:
+            models[dim] = ExternalModel(f"{sys.executable} {stub} {log}", dim=dim)
+        assert list(models[dim].predict_batch(points)) == [0.0] * points.shape[0]
+        return log.read_bytes()
+
+    yield send
+    for model in models.values():
+        model.close()
+
+
+_SPECIAL = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072009e-308]
+_SEVENTEEN_DIGITS = [0.1 + 0.2, 1.0000000000000002, 1 / 3, 2.0 / 3.0, 1e23, -9007199254740993.0]
+
+REQUEST_CASES = {
+    "zero-rows": np.zeros((0, 3)),
+    "one-row": np.array([[1.5, -2.0, 0.125]]),
+    "one-column": np.array([[0.5], [-0.0], [0.5], [7.0]]),
+    "one-column-zero-rows": np.zeros((0, 1)),
+    "signed-zeros-in-one-column": np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, 0.0]]),
+    "non-finite-and-subnormal": np.array([_SPECIAL, _SPECIAL[::-1]]),
+    "seventeen-digits": np.array([_SEVENTEEN_DIGITS, [-v for v in _SEVENTEEN_DIGITS]]),
+    "repeated-rows": np.tile(np.array([[0.1, -0.0, 3.0], [2.5, 0.0, -1e-300]]), (50, 1)),
+    "hybrid-rows": np.where(
+        (np.arange(64)[:, None] >> np.arange(6) & 1).astype(bool)[:, None, :],
+        np.linspace(-1.0, 1.0, 6),
+        np.random.default_rng(5).normal(size=(4, 6)),
+    ).reshape(-1, 6),
+}
+
+
+@pytest.mark.parametrize("case", list(REQUEST_CASES))
+def test_request_bytes_match_the_per_value_encoder(case, sent_request):
+    points = REQUEST_CASES[case]
+    assert sent_request(points) == oracle_request(points)
+
+
+def test_zero_row_request_is_header_and_end(sent_request):
+    assert sent_request(np.zeros((0, 2))) == b"NSHAP-MODEL-V1 2 0\nEND\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    arrays(
+        np.float64,
+        st.tuples(st.integers(0, 12), st.integers(1, 4)),
+        elements=st.one_of(st.sampled_from(_SPECIAL), st.floats(allow_subnormal=True)),
+    )
+)
+def test_request_bytes_match_on_any_float_matrix(sent_request, points):
+    assert sent_request(points) == oracle_request(points)
