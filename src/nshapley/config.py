@@ -417,6 +417,11 @@ class _Prepared:
 def _prepare(config: RunConfig) -> _Prepared:
     label = model_label_column(config.model)
     dataset = load_csv(config.data, label_column=label)
+    if not 1 <= dataset.dim <= MAX_DIM:
+        raise ConfigError(
+            f"data: {config.data} has {dataset.dim} feature columns"
+            f"{' besides the label' if label else ''}, expected 1 to {MAX_DIM}"
+        )
     model = build_model(config.model, dataset)
     background = _resolve_background(config, dataset)
     value_fn = build_value_function(config.value_fn, model, dataset, background)

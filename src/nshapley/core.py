@@ -13,8 +13,9 @@ Terminology used throughout:
   d is the decomposition itself.
 
 The serving route is value table -> inversion -> linear combination
-with exact mixing coefficients (O(d * 2**d) plus one sweep per
-cardinality). The last section holds what only ``nshapley check`` and
+with exact mixing coefficients (O(d * 2**d), plus one O(d * 2**d) sweep
+per cardinality layer above the smallest requested order, one layer
+alive at a time). The last section holds what only ``nshapley check`` and
 the tests use to cross-check it: the O(4**d) contribution measure, the
 two routes through it (recursion and closed sum), the brute-force
 per-feature oracle and the recovery report.
@@ -149,14 +150,9 @@ def _mixing_matrix(dim: int) -> np.ndarray:
     return out
 
 
-def _supersets_by_cardinality(dense: np.ndarray, dim: int) -> np.ndarray:
-    """Row c holds, per mask S, the sum of dense[T] over supersets T with |T| = c."""
-    pc = _kernels.popcount_table(dim)
-    out = np.empty((dim + 1, dense.size))
-    for c in range(dim + 1):
-        layer = np.where(pc == c, dense, 0.0)
-        out[c] = _kernels.zeta_supersets(layer, dim)
-    return out
+def _layer_supersets(values: np.ndarray, pc: np.ndarray, c: int, dim: int) -> np.ndarray:
+    """Per mask S, the sum of values[T] over supersets T of S with |T| = c."""
+    return _kernels.zeta_supersets(np.where(pc == c, values, 0.0), dim)
 
 
 def shapley_gam(table: ValueTable) -> ShapleyGam:
@@ -180,18 +176,21 @@ def shapley_gam(table: ValueTable) -> ShapleyGam:
 
 
 def _indices_from_gam(gam: ShapleyGam, orders) -> list[InteractionIndex]:
-    """The coefficient route for each order in turn, sharing one set of superset sweeps."""
+    """The coefficient route for every order at once; each entry sums its layers in ascending c."""
     d = gam.dim
     pc = _kernels.popcount_table(d)
     mix = _mixing_matrix(d)
-    bycard = _supersets_by_cardinality(gam.values, d)
+    masks = [np.flatnonzero(pc == s) for s in range(max(orders) + 1)]
+    phis = [gam.values.copy() for _ in orders]
+    for c in range(min(orders) + 1, d + 1):
+        sums = _layer_supersets(gam.values, pc, c, d)
+        for order, phi in zip(orders, phis):
+            if order < c:
+                for s in range(1, order + 1):
+                    phi[masks[s]] += mix[order - s, c - s] * sums[masks[s]]
     out = []
     for order in orders:
-        phi = gam.values.copy()
-        for s in range(1, order + 1):
-            masks = np.flatnonzero(pc == s)
-            for k in range(max(1, order + 1 - s), d - s + 1):
-                phi[masks] += mix[order - s, k] * bycard[s + k][masks]
+        phi = phis.pop(0)  # freed once its index holds the copy
         phi[pc > order] = 0.0
         out.append(
             InteractionIndex(
@@ -220,7 +219,7 @@ def n_shapley_from_gam(gam: ShapleyGam, order: int) -> InteractionIndex:
 
 
 def n_shapley_all_orders(gam: ShapleyGam) -> list[InteractionIndex]:
-    """Indices of every order 1..dim, sharing one set of superset sweeps."""
+    """Indices of every order 1..dim, sharing each layer's superset sweep."""
     return _indices_from_gam(gam, range(1, gam.dim + 1))
 
 
@@ -247,8 +246,7 @@ def reduce_order(phi: InteractionIndex, order: int) -> InteractionIndex:
     bern = _bernoulli_floats(d)
     cur = phi.values.copy()
     for q in range(phi.order, order, -1):
-        top = np.where(pc == q, cur, 0.0)
-        super_sums = _kernels.zeta_supersets(top, d)
+        super_sums = _layer_supersets(cur, pc, q, d)
         for s in range(1, q):
             masks = np.flatnonzero(pc == s)
             cur[masks] -= bern[q - s] * super_sums[masks]
@@ -348,24 +346,25 @@ def n_shapley_explicit(table: ValueTable, max_order: int) -> list[InteractionInd
     the supersets of S at distance k), k up to order - |S|.
 
     Unrolls the recursion; must agree with it entrywise. The order-n
-    sum for S is the order-(n-1) sum plus one term, so one superset
-    sweep serves every order.
+    sum for S is the order-(n-1) sum plus one term, so the superset
+    sweep of layer n serves every order from n up.
     """
     d = table.dim
     if not 1 <= max_order <= d:
         raise ValueError(f"order must be in [1, dim={d}], got {max_order}")
     deltas = delta_all(table)
-    bycard = _supersets_by_cardinality(deltas, d)
     pc = _kernels.popcount_table(d)
     bern = _bernoulli_floats(d)
     levels = [np.zeros(deltas.size) for _ in range(max_order)]
-    for s in range(1, max_order + 1):
-        masks = np.flatnonzero(pc == s)
-        acc = bycard[s][masks].copy()  # k = 0 term, B_0 = 1
-        levels[s - 1][masks] = acc
-        for k in range(1, max_order - s + 1):
-            acc += bern[k] * bycard[s + k][masks]
-            levels[s + k - 1][masks] = acc
+    masks = [np.flatnonzero(pc == s) for s in range(max_order + 1)]
+    accs = [None] * (max_order + 1)  # accs[s]: the running sums for size s
+    for c in range(1, max_order + 1):
+        sums = _layer_supersets(deltas, pc, c, d)
+        accs[c] = sums[masks[c]]  # k = 0 term, B_0 = 1
+        for s in range(1, c):
+            accs[s] += bern[c - s] * sums[masks[s]]
+        for s in range(1, c + 1):
+            levels[c - 1][masks[s]] = accs[s]
     return _direct_indices(table, levels)
 
 

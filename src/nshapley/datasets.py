@@ -48,17 +48,24 @@ class Dataset:
         return self.rows.shape[0]
 
 
+def _utf8_lines(fh, path):
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_csv(path, label_column: str | None = None) -> Dataset:
-    """Parse a headed CSV of finite decimal numbers.
+    """Parse a headed UTF-8 CSV of finite decimal numbers.
 
     The first line names the columns. Parsing uses plain float literals
-    and is locale independent. Ragged rows and non-numeric cells raise
-    :class:`DatasetError` citing the file line and column. When
-    ``label_column`` is given, that column is split out of the feature
-    matrix and exposed as labels.
+    and is locale independent. Ragged rows, non-numeric cells and bytes
+    that are not UTF-8 raise :class:`DatasetError` naming the file (and,
+    for cells, the line and column). When ``label_column`` is given,
+    that column is split out of the feature matrix and exposed as labels.
     """
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_utf8_lines(fh, path))
         try:
             header = next(reader)
         except StopIteration:

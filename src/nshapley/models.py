@@ -391,6 +391,10 @@ class ProtocolTimeout(RuntimeError):
 
 _PROTOCOL_HEADER = "NSHAP-MODEL-V1"
 
+# Longest batch timeout, in seconds. The selector waits in whole
+# milliseconds and epoll takes at most 2**31 - 1 of them (~24.8 days).
+MAX_TIMEOUT = 1_000_000.0
+
 
 class ExternalModel(PredictFn):
     """Batch bridge to a model running in a child process.
@@ -409,11 +413,12 @@ class ExternalModel(PredictFn):
     once per batch and shared by the rows that hold them. Reply floats
     are anything ``float()`` parses; reply lines end in ``\n`` or
     ``\r\n``. A process serves any number of batches and is shut down by
-    closing its stdin. The timeout covers a whole batch, write and read.
-    Output sent outside a batch's reply fails that batch, and every
-    failure ends the child (stdin closed, killed if still running after a
-    grace period). Access is serialised internally; value-table
-    construction batches coalitions so per-call overhead stays amortised.
+    closing its stdin. The timeout covers a whole batch, write and read;
+    it must be > 0 and at most ``MAX_TIMEOUT`` (10**6 s). Output sent
+    outside a batch's reply fails that batch, and every failure ends the
+    child (stdin closed, killed if still running after a grace period).
+    Access is serialised internally; value-table construction batches
+    coalitions so per-call overhead stays amortised.
     """
 
     def __init__(self, command: str, dim: int, timeout: float = 60.0):
@@ -422,6 +427,10 @@ class ExternalModel(PredictFn):
         self.command = command
         self.dim = dim
         self.timeout = float(timeout)
+        if not 0.0 < self.timeout <= MAX_TIMEOUT:
+            raise ValueError(
+                f"timeout must be > 0 and at most {MAX_TIMEOUT:.0f} seconds, got {timeout!r}"
+            )
         self._argv = shlex.split(command)
         if not self._argv:
             raise ValueError("empty command")

@@ -26,6 +26,11 @@ mappings the tests write by hand and an index's dense ``values`` array.
 line-per-coalition writers the streamed results writers replaced,
 kept as the reference their bytes must match. ``oracle_request`` is the
 per-value request encoder ``ExternalModel`` replaced, kept likewise.
+``all_layers_from_gam`` and ``all_layers_explicit`` are the coefficient
+and closed-sum routes as they stood when every cardinality layer's
+superset sums were built into one ``(dim + 1, 2**dim)`` array before
+any was read, and ``reference_reduce`` is ``reduce_order``'s loop of
+the same time; the one-layer routes must match their bytes.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from math import comb, factorial
 import numpy as np
 
 from nshapley import _kernels
+from nshapley.core import _bernoulli_floats, _mixing_matrix, delta_all
 from nshapley.exactnum import bernoulli
 from nshapley.lattice import MAX_DIM, SubsetTable
 from nshapley.models import ComponentMap, ConstantComponent, LookupComponent
@@ -310,3 +316,62 @@ def fit_additive_marginal_means(points, labels) -> ComponentMap:
             LookupComponent((j,), [values[0]], [values[-1]], means)
         )
     return ComponentMap(pts.shape[1], comps)
+
+
+def supersets_by_cardinality(dense: np.ndarray, dim: int) -> np.ndarray:
+    """Row c holds, per mask S, the sum of dense[T] over supersets T with |T| = c."""
+    pc = _kernels.popcount_table(dim)
+    out = np.empty((dim + 1, dense.size))
+    for c in range(dim + 1):
+        layer = np.where(pc == c, dense, 0.0)
+        out[c] = _kernels.zeta_supersets(layer, dim)
+    return out
+
+
+def all_layers_from_gam(gam, order: int) -> np.ndarray:
+    """The coefficient route's order-n values, read from all layers at once."""
+    d = gam.dim
+    pc = _kernels.popcount_table(d)
+    mix = _mixing_matrix(d)
+    bycard = supersets_by_cardinality(gam.values, d)
+    phi = gam.values.copy()
+    for s in range(1, order + 1):
+        masks = np.flatnonzero(pc == s)
+        for k in range(max(1, order + 1 - s), d - s + 1):
+            phi[masks] += mix[order - s, k] * bycard[s + k][masks]
+    phi[pc > order] = 0.0
+    return phi
+
+
+def reference_reduce(index, order: int) -> np.ndarray:
+    """``reduce_order``'s values, one level at a time from ``index.order`` down."""
+    d = index.dim
+    pc = _kernels.popcount_table(d)
+    bern = _bernoulli_floats(d)
+    cur = index.values.copy()
+    for q in range(index.order, order, -1):
+        top = np.where(pc == q, cur, 0.0)
+        super_sums = _kernels.zeta_supersets(top, d)
+        for s in range(1, q):
+            masks = np.flatnonzero(pc == s)
+            cur[masks] -= bern[q - s] * super_sums[masks]
+        cur[pc == q] = 0.0
+    return cur
+
+
+def all_layers_explicit(table, max_order: int) -> list[np.ndarray]:
+    """``n_shapley_explicit``'s values of orders 1..max_order, read from all layers at once."""
+    d = table.dim
+    deltas = delta_all(table)
+    bycard = supersets_by_cardinality(deltas, d)
+    pc = _kernels.popcount_table(d)
+    bern = _bernoulli_floats(d)
+    levels = [np.zeros(deltas.size) for _ in range(max_order)]
+    for s in range(1, max_order + 1):
+        masks = np.flatnonzero(pc == s)
+        acc = bycard[s][masks].copy()  # k = 0 term, B_0 = 1
+        levels[s - 1][masks] = acc
+        for k in range(1, max_order - s + 1):
+            acc += bern[k] * bycard[s + k][masks]
+            levels[s + k - 1][masks] = acc
+    return levels

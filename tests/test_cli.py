@@ -628,6 +628,74 @@ def test_errors_exit_with_code_two(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def _one_error_line(capsys, *fragments):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("nshapley: error: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    for fragment in fragments:
+        assert fragment in captured.err
+
+
+def test_more_features_than_the_cap_is_a_clean_error(tmp_path, capsys):
+    data = tmp_path / "wide.csv"
+    header = [f"f{i}" for i in range(25)] + ["y"]
+    rows = [",".join(str((i + j) % 2) for j in range(26)) for i in range(4)]
+    data.write_text("\n".join([",".join(header), *rows]) + "\n")
+    code = run_cli(
+        "explain",
+        "--data", data,
+        "--model", json.dumps({"type": "knn", "k": 1, "label": "y"}),
+        "--value-fn", "interventional",
+        "--points", "0",
+    )
+    assert code == 2
+    _one_error_line(capsys, "25 feature columns besides the label, expected 1 to 24")
+
+
+@pytest.mark.parametrize("value_fn", ["interventional", "observational"])
+def test_a_csv_with_only_the_label_column_is_a_clean_error(value_fn, tmp_path, capsys):
+    data = tmp_path / "labels.csv"
+    data.write_text("y\n0\n1\n")
+    code = run_cli(
+        "explain",
+        "--data", data,
+        "--model", json.dumps({"type": "knn", "k": 1, "label": "y"}),
+        "--value-fn", value_fn,
+        "--points", "0",
+    )
+    assert code == 2
+    _one_error_line(capsys, "0 feature columns besides the label, expected 1 to 24")
+
+
+def test_a_csv_that_is_not_utf8_is_a_clean_error(tmp_path, capsys):
+    data = tmp_path / "utf16.csv"
+    data.write_bytes(b"f0,f1\n1,2\n\xff\xfe,3\n")
+    code = run_cli(
+        "explain",
+        "--data", data,
+        "--model", json.dumps(PRODUCT_MODEL),
+        "--value-fn", "interventional",
+        "--points", "0",
+    )
+    assert code == 2
+    _one_error_line(capsys, f"{data}: not UTF-8 text")
+
+
+@pytest.mark.parametrize("timeout", [0, -1, 3e6], ids=["zero", "negative", "3e6"])
+def test_a_timeout_out_of_range_is_a_clean_error(timeout, product_fixture, capsys):
+    model = {"type": "external", "command": "no-such-command", "timeout": timeout}
+    code = run_cli(
+        "explain",
+        "--data", product_fixture,
+        "--model", json.dumps(model),
+        "--value-fn", "interventional",
+        "--points", "4",
+    )
+    assert code == 2
+    _one_error_line(capsys, "model: timeout must be > 0 and at most 1000000 seconds")
+
+
 def test_order_beyond_dimension_rejected(product_fixture, capsys):
     assert (
         run_cli(
@@ -860,7 +928,7 @@ open(marker, "w").close()
 """
 
 
-def _degree_through_bridge(mode, product_fixture, tmp_path, out):
+def _degree_through_bridge(mode, product_fixture, tmp_path, out, timeout=30):
     child = tmp_path / "bridge_child.py"
     child.write_text(BRIDGE_CHILD)
     pid_file, marker = tmp_path / "child.pid", tmp_path / "stdin-closed"
@@ -868,7 +936,7 @@ def _degree_through_bridge(mode, product_fixture, tmp_path, out):
     code = run_cli(
         "degree",
         "--data", product_fixture,
-        "--model", json.dumps({"type": "external", "command": command, "timeout": 30}),
+        "--model", json.dumps({"type": "external", "command": command, "timeout": timeout}),
         "--value-fn", "interventional",
         "--background", "0:4",
         "--points", "4",
@@ -913,3 +981,14 @@ def test_a_misbehaving_child_is_a_clean_point_error(mode, reason, product_fixtur
     assert not out.exists()
     with pytest.raises(ProcessLookupError):
         os.kill(pid, 0)  # exited and reaped
+
+
+def test_the_longest_timeout_serves_a_batch(product_fixture, tmp_path):
+    from nshapley.models import MAX_TIMEOUT
+
+    assert MAX_TIMEOUT * 1000 <= 2**31 - 1  # the selector's millisecond limit
+    out = tmp_path / "degree.json"
+    code, _, marker = _degree_through_bridge("ok", product_fixture, tmp_path, out, MAX_TIMEOUT)
+    assert code == 0
+    assert json.loads(out.read_text())["count"] == 1
+    assert marker.exists()

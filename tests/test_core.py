@@ -5,7 +5,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _exact_oracle import cell_center_grid, entries, fr_classic_shapley, fr_phi_recursive, scatter
+from _exact_oracle import (
+    all_layers_explicit,
+    all_layers_from_gam,
+    cell_center_grid,
+    entries,
+    fr_classic_shapley,
+    fr_phi_recursive,
+    reference_reduce,
+    scatter,
+)
 from nshapley.core import (
     InteractionIndex,
     ShapleyGam,
@@ -259,6 +268,66 @@ def test_all_orders_shares_results_with_single_orders():
     for index in everything:
         single = n_shapley_from_gam(gam, index.order)
         assert max_gap(index, single) == 0.0
+
+
+def _signed_zero_tables(rng, dim):
+    """A value table and a decomposition of one-decimal values with -0.0 entries."""
+    values = np.round(rng.uniform(-1.0, 1.0, size=1 << dim), 1)
+    values[rng.random(values.size) < 0.2] = -0.0
+    components = np.round(rng.uniform(-1.0, 1.0, size=1 << dim), 1)
+    components[rng.random(components.size) < 0.3] = -0.0
+    components[0] = 0.0
+    table = ValueTable(SubsetTable(dim, values), rng.normal(size=dim))
+    gam = ShapleyGam(dim=dim, order=dim, baseline=0.5, values=components)
+    return table, gam
+
+
+@pytest.mark.parametrize("dim", range(1, 11))
+def test_one_layer_routes_match_the_all_layers_bytes(dim):
+    rng = np.random.default_rng(100 + dim)
+    for table, gam in (_signed_zero_tables(rng, dim), (None, shapley_gam(random_table(rng, dim)))):
+        everything = n_shapley_all_orders(gam)
+        assert [ix.order for ix in everything] == list(range(1, dim + 1))
+        for index in everything:
+            expected = all_layers_from_gam(gam, index.order).tobytes()
+            assert index.values.tobytes() == expected
+            assert n_shapley_from_gam(gam, index.order).values.tobytes() == expected
+            assert reduce_order(gam, index.order).values.tobytes() == (
+                reference_reduce(gam, index.order).tobytes()
+            )
+            assert reduce_order(index, 1).values.tobytes() == reference_reduce(index, 1).tobytes()
+        if table is not None:
+            levels = all_layers_explicit(table, dim)
+            for index, expected in zip(n_shapley_explicit(table, dim), levels, strict=True):
+                assert index.values.tobytes() == expected.tobytes()
+
+
+def test_signed_zeros_reach_the_byte_comparison():
+    # the -0.0 entries survive into the outputs, so tobytes() sees their sign bit
+    table, gam = _signed_zero_tables(np.random.default_rng(107), 7)
+    outputs = [ix.values for ix in n_shapley_all_orders(gam) + n_shapley_explicit(table, 7)]
+    assert any(np.signbit(v[v == 0.0]).any() for v in outputs)
+
+
+def test_order_two_at_dim_twenty_holds_one_layer_at_a_time():
+    import tracemalloc
+
+    dim = 20
+    x = PolyFactor((0.0, 1.0))
+    components = [ConstantComponent(0.25)] + [
+        ProductComponent(tuple(sorted({i, (i + 1) % dim, (i + 3) % dim})), (x, x, x), i + 1.0)
+        for i in range(dim)
+    ]
+    vf = GamInducedValueFunction(ComponentMap(dim, components))
+    gam = shapley_gam(build_value_table(vf, np.linspace(-1.0, 1.0, dim)))
+    tracemalloc.start()
+    try:
+        phi = n_shapley_from_gam(gam, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 80 * 2**20  # (d + 1) * 2**d floats of superset sums alone take 168 MB
+    assert phi.total() == pytest.approx(gam.total(), abs=1e-9 * (1 + abs(gam.total())))
 
 
 # ---------------------------------------------------------------------------

@@ -77,3 +77,13 @@ def test_scientific_notation_parses(tmp_path):
     path = write(tmp_path, "a\n1e-3\n-2.5E+2\n")
     ds = load_csv(path)
     assert list(ds.rows[:, 0]) == [0.001, -250.0]
+
+
+@pytest.mark.parametrize(
+    "raw", [b"\xff\xfea\x00,\x00b\x00\n", b"a,b\n1,2\n3,\xe9\n"], ids=["utf16", "latin1"]
+)
+def test_bytes_that_are_not_utf8_name_the_file(tmp_path, raw):
+    path = tmp_path / "data.csv"
+    path.write_bytes(raw)
+    with pytest.raises(DatasetError, match=r"data\.csv: not UTF-8 text"):
+        load_csv(path)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from _exact_oracle import oracle_request
-from nshapley.models import ExternalModel, ProcessFailed, ProtocolTimeout
+from nshapley.models import MAX_TIMEOUT, ExternalModel, ProcessFailed, ProtocolTimeout
 
 ECHO_FIRST = """\
 import sys
@@ -114,6 +114,19 @@ def test_timeout(tmp_path):
     with pytest.raises(ProtocolTimeout):
         model.predict_batch(np.zeros((2, 2)))
     assert model._proc is None
+
+
+@pytest.mark.parametrize(
+    "timeout", [0.0, -1.0, np.nextafter(MAX_TIMEOUT, np.inf), 1e10, np.inf, np.nan]
+)
+def test_timeout_outside_the_selectable_range_is_rejected(timeout):
+    with pytest.raises(ValueError, match="timeout must be > 0 and at most 1000000 seconds"):
+        ExternalModel("unused", dim=1, timeout=timeout)
+
+
+def test_timeout_range_ends_at_the_cap():
+    assert ExternalModel("unused", dim=1, timeout=MAX_TIMEOUT).timeout == MAX_TIMEOUT
+    assert ExternalModel("unused", dim=1, timeout=1e-3).timeout == 1e-3
 
 
 def test_nonzero_exit_reported(tmp_path):
