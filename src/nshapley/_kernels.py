@@ -9,10 +9,13 @@ subset bitmask (bit i set <=> feature i in the subset).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = [
     "popcount_table",
+    "spread_by_size",
     "zeta_subsets",
     "moebius_subsets",
     "zeta_supersets",
@@ -21,9 +24,36 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=1)
 def popcount_table(dim: int) -> np.ndarray:
-    """Bit-count of every mask below 2**dim, as an int64 array."""
-    return np.bitwise_count(np.arange(1 << dim, dtype=np.uint32)).astype(np.int64)
+    """Bit-count of every mask below 2**dim, as a read-only int64 array.
+
+    The last dimension's table is kept and returned to every later call
+    of that dimension. Its prefix ``[: 1 << f]`` is the table of any
+    f <= dim, so code that needs a smaller one slices it rather than
+    calling again with f.
+    """
+    out = np.bitwise_count(np.arange(1 << dim, dtype=np.uint32)).astype(np.int64)
+    out.flags.writeable = False
+    return out
+
+
+def spread_by_size(masks: np.ndarray, size: int) -> np.ndarray:
+    """Every submask of each of ``masks``, which all have ``size`` members.
+
+    Row i belongs to ``masks[i]``; its column p deposits the bits of p
+    onto the mask's set-bit positions, lowest bit onto lowest position.
+    Depositing keeps order, so each row lists its 2**size submasks in
+    ascending order, and a column's submasks all have popcount(p)
+    members.
+    """
+    out = np.zeros((masks.size, 1 << size), dtype=np.int64)
+    rest = masks.astype(np.int64)
+    for j in range(size):
+        low = rest & -rest  # the mask's j-th lowest set bit
+        np.bitwise_or(out[:, : 1 << j], low[:, None], out=out[:, 1 << j : 2 << j])
+        rest ^= low
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -61,35 +91,28 @@ def zeta_supersets(values: np.ndarray, dim: int) -> np.ndarray:
 #   out[S] = sum over T within the complement of S of
 #            weights[|S|, |T|] * sum over L within S of (-1)^(|S|-|L|) v[L|T].
 # Cost is O(4**dim); this is the slow cross-validation route, not the
-# production path.
+# production path. Masks are taken one cardinality class s at a time: the
+# class's submask and complement-submask index arrays are built at once
+# (ascending within each row), and the signs and weights, which depend
+# only on s and the sizes, are shared by the class. Each mask's sum is
+# then its own ``signs @ gathered @ wcol`` product over the (L, T) grid,
+# so every mask gets the same operations in the same order on every run.
 # ---------------------------------------------------------------------------
 
 
-def _submask_spread(mask: int) -> np.ndarray:
-    """All submasks of ``mask`` as an int64 array (ascending spread order)."""
-    if mask == 0:
-        return np.zeros(1, dtype=np.int64)
-    positions = np.flatnonzero(
-        (mask >> np.arange(mask.bit_length(), dtype=np.int64)) & 1
-    )
-    s = positions.size
-    bits = (np.arange(1 << s, dtype=np.int64)[:, None] >> np.arange(s)) & 1
-    return bits @ (np.int64(1) << positions)
-
-
 def delta_weighted(values: np.ndarray, dim: int, weights: np.ndarray) -> np.ndarray:
-    size = 1 << dim
-    full = size - 1
+    full = (1 << dim) - 1
     pc = popcount_table(dim)
-    out = np.zeros(size)
-    for mask in range(1, size):
-        s = int(pc[mask])
-        subs = _submask_spread(mask)
-        comps = _submask_spread(full ^ mask)
-        gathered = values[np.bitwise_or.outer(subs, comps)]
-        signs = np.where((s - pc[subs]) % 2 == 0, 1.0, -1.0)
-        wcol = weights[s, pc[comps]]
-        out[mask] = signs @ gathered @ wcol
+    out = np.zeros(1 << dim)
+    for s in range(1, dim + 1):
+        masks = np.flatnonzero(pc == s)
+        subs = spread_by_size(masks, s)
+        comps = spread_by_size(full ^ masks, dim - s)
+        signs = np.where((s - pc[: 1 << s]) % 2 == 0, 1.0, -1.0)
+        wcol = weights[s, pc[: 1 << (dim - s)]]
+        for mask, sub, comp in zip(masks.tolist(), subs, comps):
+            gathered = values[sub[:, None] | comp]
+            out[mask] = signs @ gathered @ wcol
     return out
 
 

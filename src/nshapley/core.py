@@ -32,7 +32,7 @@ import numpy as np
 
 from . import _kernels
 from .exactnum import bernoulli, coeff_c
-from .lattice import SubsetTable, iter_submasks, popcount, subset_key
+from .lattice import SubsetTable, popcount, subset_key
 from .valuefn import ValueTable
 
 __all__ = [
@@ -317,7 +317,10 @@ def n_shapley_recursive(table: ValueTable, max_order: int) -> list[InteractionIn
     Level n assigns the contribution measure to coalitions of size n
     and corrects every smaller coalition of the level-(n-1) index by
     B_(n-|S|) times the sum of the measures of its size-n supersets.
-    Each level is built once from the one before.
+    Each level is built once from the one before, one cardinality class
+    of coalitions S at a time: the supersets S | K, for K running over
+    the size-(n-|S|) submasks of S's complement in decreasing mask
+    order, are added one K at a time from 0.0 for the whole class.
     """
     d = table.dim
     if not 1 <= max_order <= d:
@@ -326,16 +329,17 @@ def n_shapley_recursive(table: ValueTable, max_order: int) -> list[InteractionIn
     pc = _kernels.popcount_table(d)
     bern = _bernoulli_floats(d)
     full = (1 << d) - 1
+    masks = [np.flatnonzero(pc == s) for s in range(max_order)]
     levels = [np.where(pc == 1, deltas, 0.0)]
     for level in range(2, max_order + 1):
         cur = np.where(pc == level, deltas, 0.0)
-        for mask in np.flatnonzero((pc >= 1) & (pc < level)).tolist():
-            acc = 0.0
-            want = level - int(pc[mask])
-            for k_mask in iter_submasks(full ^ mask):
-                if popcount(k_mask) == want:
-                    acc += deltas[mask | k_mask]
-            cur[mask] = levels[-1][mask] + bern[want] * acc
+        for s in range(1, level):
+            want = level - s
+            comps = _kernels.spread_by_size(full ^ masks[s], d - s)
+            acc = np.zeros(masks[s].size)
+            for k in comps[:, pc[: 1 << (d - s)] == want][:, ::-1].T:
+                acc += deltas[masks[s] | k]
+            cur[masks[s]] = levels[-1][masks[s]] + bern[want] * acc
         levels.append(cur)
     return _direct_indices(table, levels)
 

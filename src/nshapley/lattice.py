@@ -33,7 +33,6 @@ __all__ = [
     "mask_from_indices",
     "indices_from_mask",
     "subset_key",
-    "iter_submasks",
     "moebius_transform",
 ]
 
@@ -72,16 +71,6 @@ def indices_from_mask(mask: int) -> tuple[int, ...]:
 def subset_key(mask: int) -> str:
     """Human/JSON key for a subset: comma-joined ascending indices, e.g. "0,2,3"."""
     return ",".join(str(i) for i in indices_from_mask(mask))
-
-
-def iter_submasks(mask: int):
-    """Yield every submask of ``mask``, in decreasing mask order, ending at 0."""
-    sub = int(mask)
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,9 @@ so parsing a results file back reproduces every value bit for bit.
 A results file is a JSON array of such records.
 
 The writers stream: ``emit_records`` and ``emit_csv`` write each record
-to a text handle as it comes, with keys from one cached table per
-dimension (``subset_keys``). ``emit_records`` writes exactly the bytes of
+to a text handle as it comes, its entries ``_CHUNK`` at a time, with
+keys from one cached table per dimension (``subset_keys``).
+``emit_records`` writes exactly the bytes of
 ``json.dumps(records, indent=2, allow_nan=False) + "\\n"``.
 ``results_file`` gives the handle through which a results file is
 written whole or not at all.
@@ -87,11 +88,18 @@ def subset_keys(dim: int, order: int | None = None) -> tuple[str | None, ...]:
     return _last_keys[2]
 
 
-def _entries(index: InteractionIndex) -> Iterator[tuple[str, float]]:
-    """(key, value) of each covered coalition, in ascending mask order."""
+# Entries written per join: a d=16 record's 65k entries go out in a few
+# short strings, never one list and one string of the whole record.
+_CHUNK = 8192
+
+
+def _entry_chunks(index: InteractionIndex) -> Iterator[Iterator[tuple[str, float]]]:
+    """(key, value) of each covered coalition, ascending by mask, ``_CHUNK`` at a time."""
     keys = subset_keys(index.dim, index.order)
     masks = index.masks()
-    return zip(map(keys.__getitem__, masks.tolist()), index.values[masks].tolist())
+    for start in range(0, masks.size, _CHUNK):
+        part = masks[start : start + _CHUNK]
+        yield zip(map(keys.__getitem__, part.tolist()), index.values[part].tolist())
 
 
 def _finite(value: float, field: str) -> str:
@@ -111,7 +119,11 @@ def _emit_record(index: InteractionIndex, fh: TextIO) -> None:
         f'    "baseline": {_finite(index.baseline, "baseline")},\n    "point": {point},\n'
         f'    "provenance": {json.dumps(index.provenance)},\n    "values": {{\n'
     )
-    fh.write(",\n".join([f'      "{key}": {value!r}' for key, value in _entries(index)]))
+    separator = ""
+    for chunk in _entry_chunks(index):
+        fh.write(separator)
+        fh.write(",\n".join([f'      "{key}": {value!r}' for key, value in chunk]))
+        separator = ",\n"
     fh.write("\n    }\n  }")
 
 
@@ -212,7 +224,8 @@ def emit_csv(labelled: Iterable[tuple[int, InteractionIndex]], fh: TextIO) -> No
     for point_id, index in labelled:
         head = f"{point_id},{index.order},"
         fh.write(f'{head}"",{index.baseline!r}\n')
-        fh.write("".join([f'{head}"{key}",{value!r}\n' for key, value in _entries(index)]))
+        for chunk in _entry_chunks(index):
+            fh.write("".join([f'{head}"{key}",{value!r}\n' for key, value in chunk]))
 
 
 def dumps_csv(labelled: Iterable[tuple[int, InteractionIndex]]) -> str:

@@ -31,6 +31,12 @@ and closed-sum routes as they stood when every cardinality layer's
 superset sums were built into one ``(dim + 1, 2**dim)`` array before
 any was read, and ``reference_reduce`` is ``reduce_order``'s loop of
 the same time; the one-layer routes must match their bytes.
+``reference_delta_weighted`` and ``reference_recursive`` are the
+contribution measure and the Bernoulli recursion built one mask at a
+time, as they stood before both worked per cardinality class; the
+class routes must match their bytes. The recursion walks each
+complement with ``submasks``, in decreasing mask order, as the
+package's own submask iterator did.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ def popcount(mask: int) -> int:
 
 
 def submasks(mask: int):
+    """Every submask of ``mask``, in decreasing mask order, ending at 0."""
     sub = mask
     while True:
         yield sub
@@ -374,4 +381,53 @@ def all_layers_explicit(table, max_order: int) -> list[np.ndarray]:
         for k in range(1, max_order - s + 1):
             acc += bern[k] * bycard[s + k][masks]
             levels[s + k - 1][masks] = acc
+    return levels
+
+
+def _submask_spread(mask: int) -> np.ndarray:
+    """All submasks of ``mask`` as an int64 array (ascending spread order)."""
+    if mask == 0:
+        return np.zeros(1, dtype=np.int64)
+    positions = np.flatnonzero(
+        (mask >> np.arange(mask.bit_length(), dtype=np.int64)) & 1
+    )
+    s = positions.size
+    bits = (np.arange(1 << s, dtype=np.int64)[:, None] >> np.arange(s)) & 1
+    return bits @ (np.int64(1) << positions)
+
+
+def reference_delta_weighted(values: np.ndarray, dim: int, weights: np.ndarray) -> np.ndarray:
+    """``_kernels.delta_weighted``'s values, index arrays built one mask at a time."""
+    size = 1 << dim
+    full = size - 1
+    pc = _kernels.popcount_table(dim)
+    out = np.zeros(size)
+    for mask in range(1, size):
+        s = int(pc[mask])
+        subs = _submask_spread(mask)
+        comps = _submask_spread(full ^ mask)
+        gathered = values[np.bitwise_or.outer(subs, comps)]
+        signs = np.where((s - pc[subs]) % 2 == 0, 1.0, -1.0)
+        wcol = weights[s, pc[comps]]
+        out[mask] = signs @ gathered @ wcol
+    return out
+
+
+def reference_recursive(deltas: np.ndarray, dim: int, max_order: int) -> list[np.ndarray]:
+    """``n_shapley_recursive``'s values of orders 1..max_order from the measure
+    ``deltas``, one coalition and one complement submask at a time."""
+    pc = _kernels.popcount_table(dim)
+    bern = _bernoulli_floats(dim)
+    full = (1 << dim) - 1
+    levels = [np.where(pc == 1, deltas, 0.0)]
+    for level in range(2, max_order + 1):
+        cur = np.where(pc == level, deltas, 0.0)
+        for mask in np.flatnonzero((pc >= 1) & (pc < level)).tolist():
+            acc = 0.0
+            want = level - int(pc[mask])
+            for k_mask in submasks(full ^ mask):
+                if popcount(k_mask) == want:
+                    acc += deltas[mask | k_mask]
+            cur[mask] = levels[-1][mask] + bern[want] * acc
+        levels.append(cur)
     return levels

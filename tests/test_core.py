@@ -12,11 +12,14 @@ from _exact_oracle import (
     entries,
     fr_classic_shapley,
     fr_phi_recursive,
+    reference_delta_weighted,
+    reference_recursive,
     reference_reduce,
     scatter,
 )
 from nshapley.core import (
     InteractionIndex,
+    _delta_weights,
     ShapleyGam,
     classic_shapley_oracle,
     delta_all,
@@ -307,6 +310,27 @@ def test_signed_zeros_reach_the_byte_comparison():
     table, gam = _signed_zero_tables(np.random.default_rng(107), 7)
     outputs = [ix.values for ix in n_shapley_all_orders(gam) + n_shapley_explicit(table, 7)]
     assert any(np.signbit(v[v == 0.0]).any() for v in outputs)
+
+
+def _mixed_magnitude_table(rng, dim):
+    """Entries of either sign from 1e-3 to 1e6 in size, with exact zeros and -0.0."""
+    values = rng.choice([-1.0, 1.0], size=1 << dim) * 10.0 ** rng.uniform(-3.0, 6.0, 1 << dim)
+    draw = rng.random(values.size)
+    values[draw < 0.15] = 0.0
+    values[(draw >= 0.15) & (draw < 0.3)] = -0.0
+    return ValueTable(SubsetTable(dim, values), rng.normal(size=dim))
+
+
+@pytest.mark.parametrize("dim", range(1, 11))
+def test_cardinality_class_routes_match_the_per_mask_bytes(dim):
+    rng = np.random.default_rng(200 + dim)
+    for table in (_mixed_magnitude_table(rng, dim), _signed_zero_tables(rng, dim)[0]):
+        deltas = reference_delta_weighted(table.values, dim, _delta_weights(dim))
+        assert delta_all(table).tobytes() == deltas.tobytes()
+        levels = [v.tobytes() for v in reference_recursive(deltas, dim, dim)]
+        for max_order in range(1, dim + 1):
+            got = [ix.values.tobytes() for ix in n_shapley_recursive(table, max_order)]
+            assert got == levels[:max_order]
 
 
 def test_order_two_at_dim_twenty_holds_one_layer_at_a_time():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from _exact_oracle import oracle_csv, oracle_key, oracle_record, scatter
+from nshapley import _kernels, serialize
 from nshapley.core import InteractionIndex, ShapleyGam, shapley_gam
 from nshapley.lattice import SubsetTable
 from nshapley.serialize import (
@@ -225,6 +226,31 @@ def test_csv_bytes_match_the_reference(seed):
     labelled = [(7 * i, ix) for i, ix in enumerate(gnarly_indices(seed))]
     assert dumps_csv(labelled) == oracle_csv(labelled)
     assert dumps_csv([]) == "point,order,set,value\n"
+
+
+def test_records_of_several_writer_chunks_match_the_reference():
+    dim = 15
+    rng = np.random.default_rng(15)
+    values = rng.normal(size=1 << dim) * 10.0 ** rng.integers(-20, 20, 1 << dim)
+    values[rng.integers(1, 1 << dim, 8 * len(GNARLY))] = GNARLY * 8
+    values[0] = 0.0
+    pc = _kernels.popcount_table(dim)
+    indices = [
+        (ShapleyGam if order == dim else InteractionIndex)(
+            dim=dim,
+            order=order,
+            baseline=-0.0,
+            values=np.where(pc <= order, values, 0.0),
+            point=rng.normal(size=dim),
+        )
+        for order in (1, 7, 8, dim)
+    ]
+    # 15 entries, then 16,383, 22,818 and 32,767: two, three and four chunks
+    assert [-(-ix.masks().size // serialize._CHUNK) for ix in indices] == [1, 2, 3, 4]
+    expected = json.dumps([oracle_record(ix) for ix in indices], indent=2, allow_nan=False)
+    assert dumps_records(indices) == expected + "\n"
+    labelled = list(enumerate(indices))
+    assert dumps_csv(labelled) == oracle_csv(labelled)
 
 
 def test_subset_key_table_is_the_canonical_key_of_each_mask():
