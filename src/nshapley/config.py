@@ -25,10 +25,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
+from . import core
 from .analysis import interaction_degree, partial_dependence
 from .core import (
     InteractionIndex,
@@ -456,6 +457,18 @@ def _indices_for_point(prepared: _Prepared, point_id: int) -> list[InteractionIn
     return _indices_for_gam(_explain_point(prepared, point_id), prepared.orders)
 
 
+def _labelled_indices(prepared: _Prepared) -> Iterator[tuple[int, InteractionIndex]]:
+    """(point, index) of every configured point and order, one point computed at a time.
+
+    Each index is handed over and dropped here, so the writer holds the
+    only reference and it is freed once its record is written.
+    """
+    for pid in prepared.point_ids:
+        indices = _indices_for_point(prepared, pid)
+        while indices:
+            yield pid, indices.pop(0)
+
+
 def run_explain(config: RunConfig, full_order_only: bool = False) -> str | None:
     """Compute the configured indices and write or return them.
 
@@ -468,9 +481,7 @@ def run_explain(config: RunConfig, full_order_only: bool = False) -> str | None:
     prepared = _prepare(config)
     if full_order_only:
         prepared = replace(prepared, orders=[prepared.dataset.dim])
-    labelled = (
-        (pid, index) for pid in prepared.point_ids for index in _indices_for_point(prepared, pid)
-    )
+    labelled = _labelled_indices(prepared)
     if config.format == "csv":
         emit, dumps, items = emit_csv, dumps_csv, labelled
     else:
@@ -569,8 +580,9 @@ def _check_report(prepared: _Prepared, tol: float) -> tuple[str, bool]:
         recon = abs(gam.prediction() - float(table.values[-1]))
         record(f"decomposition-sum point={pid}", recon <= tol * scale, f"gap={recon:.3e}")
         if d <= 10:
-            recursive = n_shapley_recursive(table, max(prepared.orders))
-            explicit = n_shapley_explicit(table, max(prepared.orders))
+            deltas = core.delta_all(table)  # one measure serves both routes
+            recursive = n_shapley_recursive(table, max(prepared.orders), deltas)
+            explicit = n_shapley_explicit(table, max(prepared.orders), deltas)
             for order, combined in indices.items():
                 direct = recursive[order - 1].values
                 unrolled = explicit[order - 1].values

@@ -311,7 +311,9 @@ def _direct_indices(table: ValueTable, levels: list[np.ndarray]) -> list[Interac
     ]
 
 
-def n_shapley_recursive(table: ValueTable, max_order: int) -> list[InteractionIndex]:
+def n_shapley_recursive(
+    table: ValueTable, max_order: int, deltas: np.ndarray | None = None
+) -> list[InteractionIndex]:
     """Indices of orders 1..max_order by the literal Bernoulli-weighted recursion.
 
     Level n assigns the contribution measure to coalitions of size n
@@ -321,11 +323,13 @@ def n_shapley_recursive(table: ValueTable, max_order: int) -> list[InteractionIn
     of coalitions S at a time: the supersets S | K, for K running over
     the size-(n-|S|) submasks of S's complement in decreasing mask
     order, are added one K at a time from 0.0 for the whole class.
+    ``deltas`` is ``delta_all(table)``, computed here unless given.
     """
     d = table.dim
     if not 1 <= max_order <= d:
         raise ValueError(f"order must be in [1, dim={d}], got {max_order}")
-    deltas = delta_all(table)
+    if deltas is None:
+        deltas = delta_all(table)
     pc = _kernels.popcount_table(d)
     bern = _bernoulli_floats(d)
     full = (1 << d) - 1
@@ -344,19 +348,23 @@ def n_shapley_recursive(table: ValueTable, max_order: int) -> list[InteractionIn
     return _direct_indices(table, levels)
 
 
-def n_shapley_explicit(table: ValueTable, max_order: int) -> list[InteractionIndex]:
+def n_shapley_explicit(
+    table: ValueTable, max_order: int, deltas: np.ndarray | None = None
+) -> list[InteractionIndex]:
     """Indices of orders 1..max_order by the closed Bernoulli-weighted sum
     over the contribution measure: Phi_S = sum_k B_k * (sum of measures of
     the supersets of S at distance k), k up to order - |S|.
 
     Unrolls the recursion; must agree with it entrywise. The order-n
     sum for S is the order-(n-1) sum plus one term, so the superset
-    sweep of layer n serves every order from n up.
+    sweep of layer n serves every order from n up. ``deltas`` is
+    ``delta_all(table)``, computed here unless given.
     """
     d = table.dim
     if not 1 <= max_order <= d:
         raise ValueError(f"order must be in [1, dim={d}], got {max_order}")
-    deltas = delta_all(table)
+    if deltas is None:
+        deltas = delta_all(table)
     pc = _kernels.popcount_table(d)
     bern = _bernoulli_floats(d)
     levels = [np.zeros(deltas.size) for _ in range(max_order)]

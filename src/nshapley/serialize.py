@@ -14,10 +14,20 @@ so parsing a results file back reproduces every value bit for bit.
 A results file is a JSON array of such records.
 
 The writers stream: ``emit_records`` and ``emit_csv`` write each record
-to a text handle as it comes, its entries ``_CHUNK`` at a time, with
-keys from one cached table per dimension (``subset_keys``).
-``emit_records`` writes exactly the bytes of
-``json.dumps(records, indent=2, allow_nan=False) + "\\n"``.
+to a text handle as it comes, its entries ``_CHUNK`` at a time. Keys
+come from a numpy bytes table (``subset_keys``) indexed by rank, which
+holds only the coalitions of the order it was built for: an order-2
+record at d=22 takes 253 keys, not 2**22 slots. The first record of a
+dimension builds its order's table; a later, larger order of that
+dimension builds the table of every coalition once, and each later
+record of the dimension takes its ranks from it. Values are
+formatted by ``float.__repr__`` alone, once per distinct bit pattern in
+a chunk, and a value whose bits equal the previous record's value at
+the same mask reuses that record's text: the orders of one point share
+most of their values. Entries are assembled with ``np.strings.add`` and
+joined once per chunk. ``emit_records`` writes exactly the bytes of
+``json.dumps(records, indent=2, allow_nan=False) + "\\n"``, and both
+writers and ``record_to_index`` reject a non-finite baseline or point.
 ``results_file`` gives the handle through which a results file is
 written whole or not at all.
 """
@@ -35,7 +45,6 @@ from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from . import _kernels
 from .core import PROVENANCE_DIRECT, PROVENANCE_FROM_GAM, InteractionIndex, ShapleyGam
 from .lattice import MAX_DIM
 
@@ -55,75 +64,119 @@ __all__ = [
 _RECORD_KEYS = {"dim", "order", "baseline", "point", "provenance", "values"}
 
 
-_last_keys: tuple[int, int, tuple[str | None, ...]] = (-1, 0, ())
+def subset_keys(dim: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coalitions of 1..``order`` members below ``2**dim``, and their keys.
 
-
-def subset_keys(dim: int, order: int | None = None) -> tuple[str | None, ...]:
-    """The canonical key of every mask below ``2**dim``, indexed by mask.
-
-    Only masks of at most ``order`` members (all, by default) get a
-    key; the others hold None. Built by doubling: the masks with bit i
-    set are the earlier ones with ``i`` appended, so no mask is decoded
-    bit by bit and no key beyond ``order`` is made. The last table is
-    kept and serves every later call of its dimension that it covers;
-    a call it does not cover builds the full table of that dimension,
-    so a run over orders 1..d builds two tables, not d.
+    Returns the masks, ascending, and at the same rank each mask's
+    canonical key as ASCII bytes; nothing is held for the masks above
+    ``order``. Built by doubling: the coalitions with bit i set are the
+    earlier ones of fewer than ``order`` members with ``i`` appended, so
+    no mask is decoded bit by bit.
     """
-    global _last_keys
-    order = dim if order is None else order
-    last_dim, last_order, keys = _last_keys
-    if last_dim == dim:
-        if last_order >= order:
-            return keys
-        order = dim  # a second, larger order of this dimension: make every key, once
-    sizes = _kernels.popcount_table(dim).tolist()
-    table = [""]
+    masks = np.zeros(1, dtype=np.int64)
+    sizes = np.zeros(1, dtype=np.int64)
+    keys = np.array([b""])
     for i in range(dim):
-        tail = str(i)
-        table += [
-            None if size >= order else key + "," + tail if key else tail
-            for key, size in zip(table, sizes)
-        ]
-    _last_keys = (dim, order, tuple(table))
-    return _last_keys[2]
+        grow = np.flatnonzero(sizes < order)
+        tail = str(i).encode()
+        new = np.strings.add(keys[grow], b"," + tail)
+        new[0] = tail  # rank 0 is the empty coalition
+        keys = np.concatenate([keys, new])
+        masks = np.concatenate([masks, masks[grow] | 1 << i])
+        sizes = np.concatenate([sizes, sizes[grow] + 1])
+    return masks[1:], keys[1:]
 
 
 # Entries written per join: a d=16 record's 65k entries go out in a few
 # short strings, never one list and one string of the whole record.
 _CHUNK = 8192
+# The longest float repr, '-2.2250738585072014e-308', has 24 characters.
+_TEXT = "S24"
 
 
-def _entry_chunks(index: InteractionIndex) -> Iterator[Iterator[tuple[str, float]]]:
-    """(key, value) of each covered coalition, ascending by mask, ``_CHUNK`` at a time."""
-    keys = subset_keys(index.dim, index.order)
-    masks = index.masks()
-    for start in range(0, masks.size, _CHUNK):
-        part = masks[start : start + _CHUNK]
-        yield zip(map(keys.__getitem__, part.tolist()), index.values[part].tolist())
-
-
-def _finite(value: float, field: str) -> str:
+def _finite(value: float, field: str) -> float:
     if not math.isfinite(value):
-        raise ValueError(f"record {field} is not finite ({value!r}); JSON holds finite numbers only")
-    return float.__repr__(value)
+        raise ValueError(
+            f"record {field} is not finite ({value!r}); results hold finite numbers only"
+        )
+    return value
 
 
-def _emit_record(index: InteractionIndex, fh: TextIO) -> None:
+def _repr_floats(values: np.ndarray) -> list[str]:
+    return list(map(float.__repr__, values.tolist()))
+
+
+class _Entries:
+    """The keys and value texts of each record, for the records of one writer call.
+
+    ``float.__repr__`` formats each distinct bit pattern of a chunk once.
+    A value whose bits equal the previous record's value at the same
+    mask takes that record's text instead. Keys come from the last
+    ``subset_keys`` table of the record's dimension when it covers the
+    record's order.
+    """
+
+    def __init__(self):
+        self._table = (0, 0, np.zeros(0, dtype=np.int64), np.zeros(0, dtype="S1"))
+        self._masks = np.zeros(0, dtype=np.int64)
+        self._bits = np.zeros(0, dtype=np.uint64)
+        self._texts = np.zeros(0, dtype=_TEXT)
+
+    def _keys(self, dim: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The covered masks, their ranks in the key table, and the key table."""
+        last_dim, built, masks, keys = self._table
+        if last_dim != dim or built < order:
+            # a second, larger order of one dimension builds every key of it, once
+            built = dim if last_dim == dim else order
+            masks, keys = subset_keys(dim, built)
+            self._table = (dim, built, masks, keys)
+        if built == order:
+            return masks, np.arange(masks.size), keys
+        ranks = np.flatnonzero(np.bitwise_count(masks) <= order)
+        return masks[ranks], ranks, keys
+
+    def chunks(self, index: InteractionIndex) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """(keys, value texts) of ``index``'s coalitions, ascending by mask, a chunk at a time."""
+        masks, ranks, keys = self._keys(index.dim, index.order)
+        bits = index.values[masks].view(np.uint64)
+        texts = np.empty(masks.size, dtype=_TEXT)
+        for start in range(0, masks.size, _CHUNK):
+            part = slice(start, start + _CHUNK)
+            self._format(masks[part], bits[part], texts[part])
+            yield keys[ranks[part]], texts[part]
+        self._masks, self._bits, self._texts = masks, bits, texts
+
+    def _format(self, masks: np.ndarray, bits: np.ndarray, out: np.ndarray) -> None:
+        fresh = np.ones(masks.size, dtype=bool)
+        if self._masks.size:
+            at = np.minimum(np.searchsorted(self._masks, masks), self._masks.size - 1)
+            fresh = (self._masks[at] != masks) | (self._bits[at] != bits)
+            out[~fresh] = self._texts[at[~fresh]]
+        distinct, inverse = np.unique(bits[fresh], return_inverse=True)
+        out[fresh] = np.array(_repr_floats(distinct.view(np.float64)), dtype=_TEXT)[inverse]
+
+
+def _write_entries(fh: TextIO, chunks, lead: bytes, mid: bytes, sep: bytes) -> None:
+    """Write ``lead + key + mid + text`` per entry, ``sep`` between them, a chunk at a time."""
+    for n, (keys, texts) in enumerate(chunks):
+        lines = np.strings.add(np.strings.add(np.strings.add(lead, keys), mid), texts)
+        if n:
+            fh.write(sep.decode("ascii"))
+        fh.write(sep.join(lines.tolist()).decode("ascii"))
+
+
+def _emit_record(index: InteractionIndex, entries: _Entries, fh: TextIO) -> None:
     if index.point is None:
         point = "null"
     else:
-        items = ",\n".join("      " + _finite(v, "point") for v in index.point.tolist())
+        items = ",\n".join("      " + repr(_finite(v, "point")) for v in index.point.tolist())
         point = "[\n" + items + "\n    ]"
     fh.write(
         f'  {{\n    "dim": {index.dim},\n    "order": {index.order},\n'
-        f'    "baseline": {_finite(index.baseline, "baseline")},\n    "point": {point},\n'
+        f'    "baseline": {_finite(index.baseline, "baseline")!r},\n    "point": {point},\n'
         f'    "provenance": {json.dumps(index.provenance)},\n    "values": {{\n'
     )
-    separator = ""
-    for chunk in _entry_chunks(index):
-        fh.write(separator)
-        fh.write(",\n".join([f'      "{key}": {value!r}' for key, value in chunk]))
-        separator = ",\n"
+    _write_entries(fh, entries.chunks(index), b'      "', b'": ', b",\n")
     fh.write("\n    }\n  }")
 
 
@@ -133,10 +186,11 @@ def emit_records(indices: Iterable[InteractionIndex], fh: TextIO) -> None:
     A non-finite baseline or point raises ``ValueError``, as
     ``json.dumps(..., allow_nan=False)`` does.
     """
+    entries = _Entries()
     separator = "[\n"
     for index in indices:
         fh.write(separator)
-        _emit_record(index, fh)
+        _emit_record(index, entries, fh)
         separator = ",\n"
     fh.write("[]\n" if separator == "[\n" else "\n]\n")  # json.dumps writes no records as []
 
@@ -154,8 +208,9 @@ def record_to_index(record: dict) -> InteractionIndex:
     provenance = record.get("provenance", PROVENANCE_DIRECT)
     if provenance not in (PROVENANCE_DIRECT, PROVENANCE_FROM_GAM):
         raise ValueError(f"unknown provenance {provenance!r}")
-    keys = subset_keys(dim, order)
-    mask_of = {key: mask for mask, key in enumerate(keys) if key is not None}
+    covered, keys = subset_keys(dim, order)
+    mask_of = dict(zip(keys.astype(str).tolist(), covered.tolist()))
+    mask_of[""] = 0  # the empty set's key: canonical, but no record holds it
     try:
         masks = list(map(mask_of.__getitem__, record["values"]))
     except KeyError as exc:
@@ -163,24 +218,28 @@ def record_to_index(record: dict) -> InteractionIndex:
             f"bad subset key {exc.args[0]!r}: not canonical, a key is the comma-joined "
             f"ascending feature indices below dim={dim}"
         ) from None
-    values = np.zeros(1 << dim)
-    values[masks] = [float(val) for val in record["values"].values()]
-    point = record.get("point")
-    cls = ShapleyGam if order == dim else InteractionIndex
-    index = cls(
-        dim=dim,
-        order=order,
-        baseline=float(record["baseline"]),
-        values=values,
-        point=None if point is None else np.asarray(point, dtype=np.float64),
-        provenance=provenance,
-    )
-    if not np.array_equal(np.sort(masks), index.masks()):
+    if len(masks) != covered.size or 0 in masks:
         raise ValueError(
             f"record of dim={dim}, order={order} must hold every subset of size "
             f"1..{order} exactly once"
         )
-    return index
+    values = np.zeros(1 << dim)
+    values[masks] = [float(val) for val in record["values"].values()]
+    point = record.get("point")
+    if point is not None:
+        point = np.asarray(point, dtype=np.float64)
+        bad = point[~np.isfinite(point)]
+        if bad.size:
+            _finite(float(bad[0]), "point")
+    cls = ShapleyGam if order == dim else InteractionIndex
+    return cls(
+        dim=dim,
+        order=order,
+        baseline=_finite(float(record["baseline"]), "baseline"),
+        values=values,
+        point=point,
+        provenance=provenance,
+    )
 
 
 def dumps_records(indices: Iterable[InteractionIndex]) -> str:
@@ -218,14 +277,15 @@ def emit_csv(labelled: Iterable[tuple[int, InteractionIndex]], fh: TextIO) -> No
     """Write ``(point, index)`` pairs as the flat ``point,order,set,value`` table.
 
     Each index gives one line for its baseline (set ``""``) and one per
-    covered coalition.
+    covered coalition. A non-finite baseline raises ``ValueError``.
     """
+    entries = _Entries()
     fh.write("point,order,set,value\n")
     for point_id, index in labelled:
-        head = f"{point_id},{index.order},"
-        fh.write(f'{head}"",{index.baseline!r}\n')
-        for chunk in _entry_chunks(index):
-            fh.write("".join([f'{head}"{key}",{value!r}\n' for key, value in chunk]))
+        head = f'{point_id},{index.order},"'
+        fh.write(f'{head}",{_finite(index.baseline, "baseline")!r}\n')
+        _write_entries(fh, entries.chunks(index), head.encode("ascii"), b'",', b"\n")
+        fh.write("\n")
 
 
 def dumps_csv(labelled: Iterable[tuple[int, InteractionIndex]]) -> str:

@@ -389,15 +389,65 @@ def test_single_order_check_lines_appear_in_the_all_orders_check(monkeypatch, ca
         assert all(line in remaining for line in single), order
 
 
-def test_check_runs_each_cross_check_route_once_per_point(monkeypatch, capsys):
-    from nshapley import core
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_explain_frees_each_index_once_its_record_is_written(monkeypatch, tmp_path, fmt):
+    import weakref
 
-    dims = []
-    delta_all = core.delta_all
-    monkeypatch.setattr(core, "delta_all", lambda table: dims.append(table.dim) or delta_all(table))
+    from nshapley import config
+
+    alive = []  # when index k arrives: how many earlier indices are still referenced
+
+    def watched(items):
+        refs = []
+        for item in items:
+            alive.append(sum(ref() is not None for ref in refs))
+            index = item[1] if fmt == "csv" else item
+            refs.append(weakref.ref(index))
+            del index
+            yield item
+
+    for name in ("emit_records", "emit_csv"):
+        real = getattr(config, name)
+        monkeypatch.setattr(config, name, lambda items, fh, real=real: real(watched(items), fh))
+    monkeypatch.chdir(REPO_ROOT / "tests" / "golden")
+    out = tmp_path / f"out.{fmt}"
+    assert run_cli("explain", "--config", "run.json", "--format", fmt, "--out", out) == 0
+    # two points, five orders; only the record just written is still held by the writer
+    assert alive == [0] + [1] * 9
+
+
+def test_check_runs_each_cross_check_route_once_per_point(monkeypatch, capsys):
+    from nshapley import config
+
+    calls = []
+    for name in ("n_shapley_recursive", "n_shapley_explicit"):
+        route = getattr(config, name)
+        monkeypatch.setattr(
+            config, name, lambda *args, name=name, route=route: calls.append(name) or route(*args)
+        )
     monkeypatch.chdir(REPO_ROOT / "tests" / "golden")
     assert run_cli("check", "--config", "run.json") == 0
-    assert dims == [5] * 4  # two points, one measure sweep per route each
+    assert calls == ["n_shapley_recursive", "n_shapley_explicit"] * 2  # two points
+
+
+def test_check_builds_one_contribution_measure_per_point(monkeypatch, capsys):
+    from nshapley import config, core
+
+    measures, handed = [], []
+    delta_all = core.delta_all
+    monkeypatch.setattr(
+        core, "delta_all", lambda table: measures.append(delta_all(table)) or measures[-1]
+    )
+    for name in ("n_shapley_recursive", "n_shapley_explicit"):
+        route = getattr(config, name)
+        monkeypatch.setattr(
+            config, name, lambda table, order, deltas, route=route: handed.append(deltas)
+            or route(table, order, deltas)
+        )
+    monkeypatch.chdir(REPO_ROOT / "tests" / "golden")
+    assert run_cli("check", "--config", "run.json") == 0
+    assert [m.size for m in measures] == [1 << 5] * 2  # two points, one measure each
+    assert [id(d) for d in handed] == [id(m) for m in measures for _ in range(2)]
 
 
 def test_plot_bars_single_file(product_fixture, tmp_path):

@@ -257,23 +257,113 @@ def test_subset_key_table_is_the_canonical_key_of_each_mask():
     from nshapley.lattice import subset_key
 
     for dim in (0, 1, 5, 11):
-        keys = subset_keys(dim)
-        assert len(keys) == 1 << dim
-        assert all(keys[mask] == subset_key(mask) for mask in range(1 << dim))
+        masks, keys = subset_keys(dim, dim)
+        assert masks.tolist() == list(range(1, 1 << dim))
+        assert keys.tolist() == [subset_key(mask).encode() for mask in range(1, 1 << dim)]
 
 
 def test_low_order_key_table_makes_only_the_covered_keys():
     from nshapley.lattice import subset_key
 
     for dim, order in ((7, 1), (9, 3), (11, 2)):
-        keys = subset_keys(dim, order)
-        assert len(keys) == 1 << dim
-        assert all(
-            keys[mask] == (subset_key(mask) if bin(mask).count("1") <= order else None)
-            for mask in range(1 << dim)
-        )
-        assert subset_keys(dim, order - 1 or 1) is keys  # a covered call reuses the table
-    assert subset_keys(11, 4) == subset_keys(11)  # a larger order builds the full table
+        masks, keys = subset_keys(dim, order)
+        covered = [m for m in range(1, 1 << dim) if bin(m).count("1") <= order]
+        assert masks.tolist() == covered  # one slot per covered coalition, by rank
+        assert keys.tolist() == [subset_key(mask).encode() for mask in covered]
+
+
+def test_low_order_record_at_a_high_dimension_writes_in_little_memory():
+    import tracemalloc
+
+    dim, order = 22, 2
+    masks = [1 << i | 1 << j for i in range(dim) for j in range(i, dim)]  # sizes 1 and 2
+    rng = np.random.default_rng(22)
+    values = scatter(dim, dict(zip(masks, rng.normal(size=len(masks)).tolist())))
+    index = InteractionIndex(dim=dim, order=order, baseline=0.5, values=values)
+    tracemalloc.start()
+    try:
+        text = dumps_records([index])
+        csv = dumps_csv([(0, index)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 253 entries, about 9 KB of text; the 2**22-slot array is the index's own
+    assert peak < 24 * 2**20, peak / 2**20
+    assert loads_records(text)[0].values.tobytes() == values.tobytes()
+    assert csv.count("\n") == 1 + 1 + len(masks)
+
+
+def formatted_count(monkeypatch) -> list[int]:
+    """How many values the writers pass to ``float.__repr__``, one count per call."""
+    counts = []
+    real = serialize._repr_floats
+    monkeypatch.setattr(
+        serialize, "_repr_floats", lambda values: counts.append(values.size) or real(values)
+    )
+    return counts
+
+
+def assert_both_writers_match(indices):
+    expected = json.dumps([oracle_record(ix) for ix in indices], indent=2, allow_nan=False)
+    assert dumps_records(indices) == expected + "\n"
+    labelled = [(3 * i, ix) for i, ix in enumerate(indices)]
+    assert dumps_csv(labelled) == oracle_csv(labelled)
+
+
+def test_a_value_repeated_at_its_mask_reuses_the_previous_records_text(monkeypatch):
+    counts = formatted_count(monkeypatch)
+    values = scatter(3, {1: 0.1, 2: 0.1, 4: -2.5, 3: 1e-300, 5: 7.0})
+    first = InteractionIndex(dim=3, order=2, baseline=0.0, values=values)
+    again = InteractionIndex(dim=3, order=2, baseline=1.0, values=values.copy())
+    assert_both_writers_match([first, again])
+    # per writer: the first record's distinct bit patterns (0.0 at mask 6 too), then none
+    assert counts == [5, 0] * 2
+
+
+def test_a_changed_bit_pattern_at_its_mask_is_formatted_again(monkeypatch):
+    counts = formatted_count(monkeypatch)
+    base = scatter(2, {1: 0.1, 2: 0.0, 3: 0.3})
+    ulp = base.copy()
+    ulp[1] = np.nextafter(0.1, 1.0)  # 0.10000000000000002
+    signed = base.copy()
+    signed[2] = -0.0  # equal to 0.0, but not the same text
+    indices = [
+        InteractionIndex(dim=2, order=2, baseline=0.0, values=v) for v in (base, ulp, signed)
+    ]
+    assert_both_writers_match(indices)
+    # per writer: the ulp record formats mask 1 again, the signed one masks 1 and 2
+    assert counts == [3, 1, 2] * 2
+    text = dumps_records(indices)
+    assert '"0": 0.10000000000000002' in text and '"1": -0.0' in text
+
+
+def test_records_of_mixed_dims_and_orders_interleave():
+    rng = np.random.default_rng(5)
+    shared = rng.normal(size=1 << 6)
+    indices = []
+    shapes = ((3, 1), (6, 6), (3, 3), (6, 2), (5, 4), (6, 4), (3, 2), (6, 1), (6, 6), (6, 3))
+    for dim, order in shapes:
+        pc = _kernels.popcount_table(6)[: 1 << dim]
+        values = np.where((pc >= 1) & (pc <= order), shared[: 1 << dim], 0.0)
+        cls = ShapleyGam if order == dim else InteractionIndex
+        indices.append(cls(dim=dim, order=order, baseline=float(shared[0]), values=values))
+    assert_both_writers_match(indices)
+    back = loads_records(dumps_records(indices))
+    assert [ix.values.tobytes() for ix in back] == [ix.values.tobytes() for ix in indices]
+
+
+def test_the_longest_float_texts_are_written_whole():
+    longest = [-2.2250738585072014e-308, -1.7976931348623157e308, 5e-324, -5e-324]
+    assert max(len(repr(v)) for v in longest) == 24
+    values = scatter(2, dict(zip((1, 2, 3), longest)))
+    singles = scatter(2, dict(zip((1, 2), longest)))
+    indices = [
+        InteractionIndex(dim=2, order=2, baseline=longest[0], values=values, point=longest[:2]),
+        InteractionIndex(dim=2, order=1, baseline=longest[1], values=singles),
+    ]
+    assert_both_writers_match(indices)
+    back = loads_records(dumps_records(indices))
+    assert back[0].values.tobytes() == values.tobytes()
 
 
 @pytest.mark.parametrize("field", ["baseline", "point"])
@@ -291,6 +381,14 @@ def test_non_finite_baseline_or_point_is_rejected(field, bad, tmp_path):
     with pytest.raises(ValueError, match=f"{field} is not finite"):
         write_records([good, index], path)
     assert list(tmp_path.iterdir()) == []  # no results file, no temporary file
+    if field == "baseline":  # a CSV holds no point
+        with pytest.raises(ValueError, match="baseline is not finite"):
+            dumps_csv([(0, good), (1, index)])
+    # json.loads reads NaN and Infinity; a record holding one is rejected on load
+    record = oracle_record(good)
+    record[field] = bad if field == "baseline" else [1.0, bad]
+    with pytest.raises(ValueError, match=f"{field} is not finite"):
+        loads_records(json.dumps([record]))
 
 
 def test_failed_write_keeps_the_previous_file(tmp_path):
