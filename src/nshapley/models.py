@@ -394,6 +394,8 @@ _PROTOCOL_HEADER = "NSHAP-MODEL-V1"
 # Longest batch timeout, in seconds. The selector waits in whole
 # milliseconds and epoll takes at most 2**31 - 1 of them (~24.8 days).
 MAX_TIMEOUT = 1_000_000.0
+# Bytes of the child's stderr kept for failure messages.
+_STDERR_TAIL = 2048
 
 
 class ExternalModel(PredictFn):
@@ -417,8 +419,10 @@ class ExternalModel(PredictFn):
     it must be > 0 and at most ``MAX_TIMEOUT`` (10**6 s). Output sent
     outside a batch's reply fails that batch, and every failure ends the
     child (stdin closed, killed if still running after a grace period).
-    Access is serialised internally; value-table construction batches
-    coalitions so per-call overhead stays amortised.
+    The child's stderr is read whenever the engine waits on it, during a
+    batch and while it exits; its last 2 KiB are kept, and every failure
+    message ends with their last non-empty line. Access is serialised
+    internally.
     """
 
     def __init__(self, command: str, dim: int, timeout: float = 60.0):
@@ -436,36 +440,69 @@ class ExternalModel(PredictFn):
             raise ValueError("empty command")
         self._lock = threading.Lock()
         self._proc: subprocess.Popen | None = None
+        self._stderr = b""  # the last _STDERR_TAIL bytes of the child's stderr
 
     def _start(self):
         try:
             self._proc = subprocess.Popen(
-                self._argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0
+                self._argv,
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                bufsize=0,
             )
         except OSError as exc:
             raise ProcessFailed(f"could not spawn {self.command!r}: {exc}") from exc
+        self._stderr = b""
         # a child that stops reading must not block a write past the deadline
         os.set_blocking(self._proc.stdin.fileno(), False)
 
+    def _read_stderr(self, fd: int) -> bool:
+        """Keep the tail of what the child wrote to stderr; False once it is closed."""
+        chunk = os.read(fd, 1 << 16)
+        self._stderr = (self._stderr + chunk)[-_STDERR_TAIL:]
+        return bool(chunk)
+
+    def _stderr_line(self) -> str:
+        """``; stderr: '<its last non-empty line>'``, or nothing."""
+        lines = [ln for ln in self._stderr.decode(errors="replace").splitlines() if ln.strip()]
+        return f"; stderr: {lines[-1].strip()!r}" if lines else ""
+
     def _reap(self, grace: float) -> int:
-        """Close stdin, wait ``grace`` seconds for the child to exit, then kill it; forget it."""
+        """Close stdin, give the child ``grace`` seconds to exit, then kill it; forget it.
+
+        Its stderr is read until closed or the grace period ends, so a
+        child blocked writing there can still exit.
+        """
         proc, self._proc = self._proc, None
         proc.stdin.close()
+        deadline = time.monotonic() + grace
+        err = proc.stderr.fileno()
         try:
-            return proc.wait(timeout=grace)
+            with selectors.DefaultSelector() as sel:
+                sel.register(err, selectors.EVENT_READ)
+                while (remaining := deadline - time.monotonic()) > 0 and sel.select(remaining):
+                    if not self._read_stderr(err):
+                        break
+            return proc.wait(timeout=max(0.0, deadline - time.monotonic()))
         except subprocess.TimeoutExpired:
             proc.kill()
             return proc.wait()
         finally:
             proc.stdout.close()
+            proc.stderr.close()
 
     def _fail(self, message: str) -> ProcessFailed:
-        return ProcessFailed(f"model {self.command!r} {message} (exit status {self._reap(1.0)})")
+        status = self._reap(1.0)
+        return ProcessFailed(
+            f"model {self.command!r} {message} (exit status {status}){self._stderr_line()}"
+        )
 
     def _exchange(self, request: memoryview, n: int) -> np.ndarray:
         """``Popen.communicate`` over open pipes: write, and parse as lines arrive."""
         deadline = time.monotonic() + self.timeout
         stdin, stdout = self._proc.stdin.fileno(), self._proc.stdout.fileno()
+        stderr = self._proc.stderr.fileno()
         out, partial = np.empty(n), b""
         sent = lines_read = 0  # request bytes written; reply lines seen, END included
         with selectors.DefaultSelector() as sel:
@@ -476,14 +513,20 @@ class ExternalModel(PredictFn):
                     f"sent {stray!r} outside a batch's reply" if stray else "closed its output"
                 )
             sel.register(stdin, selectors.EVENT_WRITE)
+            sel.register(stderr, selectors.EVENT_READ)
             while True:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     self._reap(0.0)
                     raise ProtocolTimeout(
                         f"model {self.command!r} exceeded {self.timeout}s for one batch"
+                        f"{self._stderr_line()}"
                     )
                 for key, _ in sel.select(remaining):
+                    if key.fd == stderr:
+                        if not self._read_stderr(stderr):
+                            sel.unregister(stderr)
+                        continue
                     if key.fd == stdin:
                         try:
                             sent += os.write(stdin, request[sent:])

@@ -71,19 +71,25 @@ def subset_keys(dim: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     canonical key as ASCII bytes; nothing is held for the masks above
     ``order``. Built by doubling: the coalitions with bit i set are the
     earlier ones of fewer than ``order`` members with ``i`` appended, so
-    no mask is decoded bit by bit.
+    no mask is decoded bit by bit. The bytes width is that of the longest
+    key, the one listing the ``order`` highest features.
     """
-    masks = np.zeros(1, dtype=np.int64)
-    sizes = np.zeros(1, dtype=np.int64)
-    keys = np.array([b""])
+    top = range(max(dim - order, 0), dim)
+    width = max(1, sum(len(str(i)) for i in top) + len(top) - 1)
+    count = sum(math.comb(dim, k) for k in range(min(order, dim) + 1))
+    masks = np.zeros(count, dtype=np.int64)
+    sizes = np.zeros(count, dtype=np.int64)
+    keys = np.zeros(count, dtype=f"S{width}")
+    n = 1  # rank 0 is the empty coalition
     for i in range(dim):
-        grow = np.flatnonzero(sizes < order)
+        grow = np.flatnonzero(sizes[:n] < order)
+        end = n + grow.size
         tail = str(i).encode()
-        new = np.strings.add(keys[grow], b"," + tail)
-        new[0] = tail  # rank 0 is the empty coalition
-        keys = np.concatenate([keys, new])
-        masks = np.concatenate([masks, masks[grow] | 1 << i])
-        sizes = np.concatenate([sizes, sizes[grow] + 1])
+        np.strings.add(keys[grow], b"," + tail, out=keys[n:end])
+        keys[n] = tail  # grown from the empty coalition
+        masks[n:end] = masks[grow] | 1 << i
+        sizes[n:end] = sizes[grow] + 1
+        n = end
     return masks[1:], keys[1:]
 
 

@@ -12,9 +12,10 @@ returns v(x, S) for all 2**d masks S at once, indexed by mask, and
 are provided:
 
 * interventional: average f over the background rows with the S
-  columns overwritten by x; 2**d * n_bg model rows per table, or the
-  sum over components of 2**|L| * n_bg rows for a ``ComponentMap``,
-  whose components are evaluated on the columns they read,
+  columns overwritten by x; 2**d * n_bg model rows per table, at most
+  8,192 to a model call, or the sum over components of 2**|L| * n_bg
+  rows for a ``ComponentMap``, whose components are evaluated on the
+  columns they read,
 * observational exact-match: empirical conditional mean of f over the
   data rows whose S columns compare equal (``==``) to x's, so -0.0
   matches 0.0 (discrete data only; when no row matches, that
@@ -125,6 +126,9 @@ class ValueFunction(abc.ABC):
     """Subset-compliant coalition valuation for a fixed model/background."""
 
     dim: int
+    # rows per model call: no request to a model, external or in-process,
+    # holds more, whatever d, n_bg or the number of data rows
+    _TARGET_ROWS = 8192
 
     @abc.abstractmethod
     def batch_evaluate(self, point) -> np.ndarray:
@@ -150,6 +154,14 @@ def build_value_table(value_fn: ValueFunction, point) -> ValueTable:
     return ValueTable(SubsetTable(value_fn.dim, values), x)
 
 
+def _predict(model: PredictFn, rows: np.ndarray, call_rows: int) -> np.ndarray:
+    """``model.predict_batch(rows)``, at most ``call_rows`` rows a call, in row order."""
+    return np.concatenate([
+        model.predict_batch(rows[start : start + call_rows])
+        for start in range(0, rows.shape[0], call_rows)
+    ])
+
+
 # ---------------------------------------------------------------------------
 # Interventional semantics
 # ---------------------------------------------------------------------------
@@ -165,19 +177,25 @@ class InterventionalValueFunction(ValueFunction):
     Rows are used in full and averaged in row order, so repeated calls
     are reproducible byte for byte.
 
-    Cost: a generic model is evaluated on 2**d * n_bg hybrid rows. A
-    ``ComponentMap`` is evaluated one component at a time: a component
-    on L reads only S & L, so it needs just its 2**|L| * n_bg reduced
-    rows, the sum over components of 2**|L| * n_bg rows in all. Its
-    entries are then summed over the components and averaged over the
-    background in the generic route's order, so both routes give
+    Cost: a generic model is evaluated on 2**d * n_bg hybrid rows, in
+    calls of at most ``_TARGET_ROWS`` (8,192) rows: whole masks' rows
+    when n_bg fits, else one mask's rows in pieces. So no external
+    request exceeds 8,192 rows, and the hybrid matrix holds at most
+    max(8,192, n_bg) rows, whatever d. Each entry is the mean of the
+    same n_bg predictions whatever the call size.
+
+    A ``ComponentMap`` is evaluated one component at a time: a
+    component on L reads only S & L, so it needs just its 2**|L| * n_bg
+    reduced rows, the sum over components of 2**|L| * n_bg rows in all.
+    Its entries are then summed over the components and averaged over
+    the background in the generic route's order, so both routes give
     bit-identical tables. A map whose reduced tables would exceed
     ``_TABLE_ROWS`` rows takes the generic route.
     """
 
-    # target rows per model call; keeps child-process batches amortised
-    # and bounds the hybrid-matrix working set.
-    _TARGET_ROWS = 65536
+    # the ComponentMap route evaluates components and gathers the table
+    # in blocks of about this many (mask, background row) elements
+    _GATHER_ROWS = 65536
     # the reduced tables are held whole while the table is gathered;
     # this caps them at 32 MiB.
     _TABLE_ROWS = 1 << 22
@@ -199,17 +217,17 @@ class InterventionalValueFunction(ValueFunction):
         x = _as_point(point, self.dim)
         size = 1 << self.dim
         n_bg = self.background.shape[0]
-        chunk = max(1, self._TARGET_ROWS // n_bg)
         model = self.model
         if isinstance(model, ComponentMap) and (
             n_bg * sum(1 << len(c.features) for c in model.components) <= self._TABLE_ROWS
         ):
-            return self._additive_table(x, model.components, chunk)
+            return self._additive_table(x, model.components, max(1, self._GATHER_ROWS // n_bg))
+        chunk = max(1, self._TARGET_ROWS // n_bg)
         out = np.empty(size)
         for start in range(0, size, chunk):
             masks = np.arange(start, min(start + chunk, size), dtype=np.int64)
-            preds = model.predict_batch(self._hybrid(x, masks)).reshape(masks.size, n_bg)
-            out[start : start + masks.size] = preds.mean(axis=1)
+            preds = _predict(model, self._hybrid(x, masks), self._TARGET_ROWS)
+            out[start : start + masks.size] = preds.reshape(masks.size, n_bg).mean(axis=1)
         return out
 
     def _additive_table(self, x: np.ndarray, components, chunk: int) -> np.ndarray:
@@ -260,13 +278,13 @@ class ObservationalExactMatchValueFunction(ValueFunction):
     its S columns compare equal (``==``) to x's, so -0.0 matches 0.0.
     The empty coalition yields the global mean of f over the data.
 
-    Cost: f is evaluated once per data row, at construction. A table
-    takes one mean over the data per closed coalition (one that equals
-    the AND of the agreement masks of the rows it matches), at most
-    2**d of them, plus an O(d * 2**d) integer sweep that finds each
-    mask's closure. Every entry is the ``np.mean`` of the same rows in
-    the same order as the per-mask definition, so the table is the same
-    to the last bit.
+    Cost: f is evaluated once per data row, at construction, in calls of
+    at most ``_TARGET_ROWS`` rows. A table takes one mean over the data
+    per closed coalition (one that equals the AND of the agreement masks
+    of the rows it matches), at most 2**d of them, plus an O(d * 2**d)
+    integer sweep that finds each mask's closure. Every entry is the
+    ``np.mean`` of the same rows in the same order as the per-mask
+    definition, so the table is the same to the last bit.
     """
 
     def __init__(self, model: PredictFn, data):
@@ -275,7 +293,9 @@ class ObservationalExactMatchValueFunction(ValueFunction):
         self.data.flags.writeable = False
         self.dim = model.dim
         # f evaluated once per data row; every conditional reuses these.
-        self._predictions = np.asarray(model.predict_batch(self.data), dtype=np.float64)
+        self._predictions = np.asarray(
+            _predict(model, self.data, self._TARGET_ROWS), dtype=np.float64
+        )
 
     def batch_evaluate(self, point) -> np.ndarray:
         """The mean over the matching rows, in row order, for each mask.

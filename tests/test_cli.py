@@ -961,6 +961,8 @@ while True:
     sys.stdin.readline()
     if mode == "exits-before-replying":
         sys.exit(5)
+    if mode == "raises":
+        raise RuntimeError("weights file is missing")
     if mode == "exits-mid-reply":
         sys.stdout.write("0.5\\n" * (count // 2))
         sys.stdout.flush()
@@ -1031,6 +1033,65 @@ def test_a_misbehaving_child_is_a_clean_point_error(mode, reason, product_fixtur
     assert not out.exists()
     with pytest.raises(ProcessLookupError):
         os.kill(pid, 0)  # exited and reaped
+
+
+def test_a_child_traceback_is_one_clean_error_line(product_fixture, tmp_path, capfd):
+    # capfd, not capsys: the child's stderr is a file descriptor, not sys.stderr
+    out = tmp_path / "degree.json"
+    code, pid, _ = _degree_through_bridge("raises", product_fixture, tmp_path, out)
+    assert code == 2
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("nshapley: error: point 4: model ")
+    assert captured.err.endswith(
+        "closed its output mid-batch (exit status 1); "
+        "stderr: 'RuntimeError: weights file is missing'\n"
+    )
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert not out.exists()
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)
+
+
+D12_RECORDER = """\
+import sys
+log = sys.argv[1]
+while True:
+    header = sys.stdin.readline()
+    if not header:
+        break
+    count = int(header.split()[2])
+    rows = [sys.stdin.readline() for _ in range(count)]
+    sys.stdin.readline()
+    with open(log, "a") as fh:
+        fh.write(f"{count}\\n")
+    sys.stdout.write("".join(r.split(",", 1)[0] + "\\n" for r in rows) + "END\\n")
+    sys.stdout.flush()
+"""
+
+
+def test_a_d12_degree_run_sends_requests_of_at_most_8192_rows(tmp_path):
+    dim, n_bg = 12, 16
+    rng = np.random.default_rng(12)
+    data = tmp_path / "d12.csv"
+    rows = [",".join(f"f{j}" for j in range(dim))]
+    rows += [",".join(map(repr, rng.normal(size=dim).tolist())) for _ in range(n_bg + 1)]
+    data.write_text("\n".join(rows) + "\n")
+    child, log = tmp_path / "recorder.py", tmp_path / "requests.log"
+    child.write_text(D12_RECORDER)
+    out = tmp_path / "degree.json"
+    code = run_cli(
+        "degree",
+        "--data", data,
+        "--model", json.dumps({"type": "external", "command": f"{sys.executable} {child} {log}"}),
+        "--value-fn", "interventional",
+        "--background", f"0:{n_bg}",
+        "--points", str(n_bg),
+        "--out", out,
+    )
+    assert code == 0
+    assert log.read_text().split() == ["8192"] * ((1 << dim) * n_bg // 8192)
+    assert json.loads(out.read_text())["count"] == 1
 
 
 def test_the_longest_timeout_serves_a_batch(product_fixture, tmp_path):

@@ -10,7 +10,14 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from _exact_oracle import oracle_request
-from nshapley.models import MAX_TIMEOUT, ExternalModel, ProcessFailed, ProtocolTimeout
+from nshapley.models import (
+    MAX_TIMEOUT,
+    ExternalModel,
+    PredictFn,
+    ProcessFailed,
+    ProtocolTimeout,
+)
+from nshapley.valuefn import ObservationalExactMatchValueFunction
 
 ECHO_FIRST = """\
 import sys
@@ -340,6 +347,96 @@ def test_crlf_replies_round_trip(tmp_path):
     with ExternalModel(command, dim=2) as model:
         assert np.array_equal(model.predict_batch(pts), pts[:, 0])
         assert np.array_equal(model.predict_batch(pts[::-1]), pts[::-1, 0])
+
+
+STDERR_FLOOD = """\
+import sys
+err = sys.stderr.buffer
+while True:
+    header = sys.stdin.readline()
+    if not header:
+        break
+    _, dim, count = header.split()
+    rows = [sys.stdin.readline() for _ in range(int(count))]
+    sys.stdin.readline()
+    err.write((b"w" * 1023 + b"\\n") * 512)  # half a MiB before the reply ...
+    err.flush()
+    sys.stdout.write("".join(repr(float(r.split(",")[0])) + "\\n" for r in rows) + "END\\n")
+    sys.stdout.flush()
+    err.write((b"w" * 1023 + b"\\n") * 512)  # ... and half after it
+    err.flush()
+"""
+
+
+def test_a_child_flooding_stderr_serves_batches_and_exits_on_close(tmp_path):
+    command = _stub(tmp_path, "flood.py", STDERR_FLOOD)
+    model = ExternalModel(command, dim=1, timeout=30.0)
+    assert list(model.predict_batch(np.array([[1.5], [2.5]]))) == [1.5, 2.5]
+    proc = model._proc
+    assert list(model.predict_batch(np.array([[-3.0]]))) == [-3.0]
+    model.close()
+    assert proc.returncode == 0  # exited on its own once its stderr was read
+    assert len(model._stderr) == 2048 and model._stderr.endswith(b"w\n")
+
+
+LAST_WORDS = """\
+import sys
+sys.stdin.readline()
+sys.stderr.write("loading weights\\n" * 300 + "fatal: weights.bin is missing\\n  \\n")
+sys.exit(3)
+"""
+
+
+def test_a_failure_names_the_last_line_the_child_wrote_to_stderr(tmp_path):
+    command = _stub(tmp_path, "last_words.py", LAST_WORDS)
+    model = ExternalModel(command, dim=2)
+    with pytest.raises(ProcessFailed) as info:
+        model.predict_batch(np.zeros((2, 2)))
+    assert str(info.value).endswith(
+        "(exit status 3); stderr: 'fatal: weights.bin is missing'"
+    )
+    assert model._proc is None
+
+
+PRODUCT_RECORDER = """\
+import sys
+log = sys.argv[1]
+while True:
+    header = sys.stdin.readline()
+    if not header:
+        break
+    count = int(header.split()[2])
+    rows = [sys.stdin.readline().split(",") for _ in range(count)]
+    sys.stdin.readline()
+    with open(log, "a") as fh:
+        fh.write(f"{count}\\n")
+    sys.stdout.write("".join(repr(float(a) * float(b) - float(c)) + "\\n" for a, b, c in rows))
+    sys.stdout.write("END\\n")
+    sys.stdout.flush()
+"""
+
+
+class ProductMinus(PredictFn):
+    dim = 3
+
+    def predict_batch(self, points):
+        return points[:, 0] * points[:, 1] - points[:, 2]
+
+
+def test_observational_predictions_come_in_calls_of_at_most_8192_rows(tmp_path):
+    log = tmp_path / "requests.log"
+    command = _stub(tmp_path, "product.py", PRODUCT_RECORDER) + f" {log}"
+    data = np.random.default_rng(20).integers(-3, 4, size=(20_000, 3)).astype(np.float64)
+    with ExternalModel(command, dim=3) as model:
+        external = ObservationalExactMatchValueFunction(model, data)
+    assert log.read_text().split() == ["8192", "8192", "3616"]
+    in_process = ProductMinus()
+    assert np.array_equal(external._predictions, in_process.predict_batch(data))
+    x = data[7]
+    assert np.array_equal(
+        external.batch_evaluate(x),
+        ObservationalExactMatchValueFunction(in_process, data).batch_evaluate(x),
+    )
 
 
 RECORDER = """\

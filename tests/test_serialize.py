@@ -21,6 +21,28 @@ from nshapley.serialize import (
 from nshapley.valuefn import ValueTable
 
 
+def assert_same_text(actual: str, expected: str):
+    """``assert actual == expected`` that reports a mismatch by its first differing offset.
+
+    pytest's own diff of two multi-megabyte strings takes minutes.
+    """
+    if actual == expected:
+        return
+    lo, hi = 0, min(len(actual), len(expected))  # bisect the common prefix
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if actual[:mid] == expected[:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    window = slice(max(lo - 40, 0), lo + 40)
+    pytest.fail(
+        f"texts differ at offset {lo} (lengths {len(actual)} and {len(expected)}):\n"
+        f"  actual   {actual[window]!r}\n  expected {expected[window]!r}",
+        pytrace=False,
+    )
+
+
 def random_index(rng, dim, order):
     values = {}
     for mask in range(1, 1 << dim):
@@ -210,10 +232,11 @@ def gnarly_indices(seed):
 def test_writer_bytes_match_the_reference(seed):
     indices = gnarly_indices(seed)
     expected = json.dumps([oracle_record(ix) for ix in indices], indent=2, allow_nan=False)
-    assert dumps_records(indices) == expected + "\n"
-    assert dumps_records(iter(indices[:3])) == json.dumps(
-        [oracle_record(ix) for ix in indices[:3]], indent=2, allow_nan=False
-    ) + "\n"
+    assert_same_text(dumps_records(indices), expected + "\n")
+    assert_same_text(
+        dumps_records(iter(indices[:3])),
+        json.dumps([oracle_record(ix) for ix in indices[:3]], indent=2, allow_nan=False) + "\n",
+    )
 
 
 def test_empty_document():
@@ -224,7 +247,7 @@ def test_empty_document():
 @pytest.mark.parametrize("seed", [0, 1])
 def test_csv_bytes_match_the_reference(seed):
     labelled = [(7 * i, ix) for i, ix in enumerate(gnarly_indices(seed))]
-    assert dumps_csv(labelled) == oracle_csv(labelled)
+    assert_same_text(dumps_csv(labelled), oracle_csv(labelled))
     assert dumps_csv([]) == "point,order,set,value\n"
 
 
@@ -248,9 +271,9 @@ def test_records_of_several_writer_chunks_match_the_reference():
     # 15 entries, then 16,383, 22,818 and 32,767: two, three and four chunks
     assert [-(-ix.masks().size // serialize._CHUNK) for ix in indices] == [1, 2, 3, 4]
     expected = json.dumps([oracle_record(ix) for ix in indices], indent=2, allow_nan=False)
-    assert dumps_records(indices) == expected + "\n"
+    assert_same_text(dumps_records(indices), expected + "\n")
     labelled = list(enumerate(indices))
-    assert dumps_csv(labelled) == oracle_csv(labelled)
+    assert_same_text(dumps_csv(labelled), oracle_csv(labelled))
 
 
 def test_subset_key_table_is_the_canonical_key_of_each_mask():
@@ -270,6 +293,15 @@ def test_low_order_key_table_makes_only_the_covered_keys():
         covered = [m for m in range(1, 1 << dim) if bin(m).count("1") <= order]
         assert masks.tolist() == covered  # one slot per covered coalition, by rank
         assert keys.tolist() == [subset_key(mask).encode() for mask in covered]
+
+
+@pytest.mark.parametrize("dim, order, longest", [(7, 1, 1), (22, 2, 5), (20, 10, 29)])
+def test_subset_key_table_is_as_wide_as_its_longest_key(dim, order, longest):
+    masks, keys = subset_keys(dim, order)
+    assert keys.dtype.itemsize == longest
+    assert max(map(len, keys.tolist())) == longest
+    assert keys[-1] == ",".join(map(str, range(dim - order, dim))).encode()
+    assert masks[-1] == ((1 << order) - 1) << (dim - order)
 
 
 def test_low_order_record_at_a_high_dimension_writes_in_little_memory():
@@ -305,9 +337,9 @@ def formatted_count(monkeypatch) -> list[int]:
 
 def assert_both_writers_match(indices):
     expected = json.dumps([oracle_record(ix) for ix in indices], indent=2, allow_nan=False)
-    assert dumps_records(indices) == expected + "\n"
+    assert_same_text(dumps_records(indices), expected + "\n")
     labelled = [(3 * i, ix) for i, ix in enumerate(indices)]
-    assert dumps_csv(labelled) == oracle_csv(labelled)
+    assert_same_text(dumps_csv(labelled), oracle_csv(labelled))
 
 
 def test_a_value_repeated_at_its_mask_reuses_the_previous_records_text(monkeypatch):

@@ -154,10 +154,57 @@ def test_component_map_route_evaluates_only_the_reduced_rows():
     capped._TABLE_ROWS = 0
     assert np.array_equal(capped.batch_evaluate(x), fast)
     assert [c.rows for c in counters] == [(1 << dim) * n_bg] * len(counters)
-    # three masks a chunk: the reduced tables and the gather come in pieces
+    # three masks a block: the reduced tables and the gather come in pieces
     small = InterventionalValueFunction(model, background)
-    small._TARGET_ROWS = 3 * n_bg
+    small._GATHER_ROWS = 3 * n_bg
+    for c in counters:
+        c.rows = 0
     assert np.array_equal(small.batch_evaluate(x), fast)
+    assert [c.rows for c in counters] == [(1 << len(c.features)) * n_bg for c in counters]
+
+
+class CallCounter(PredictFn):
+    """Delegates to a model and records the row count of each call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dim = inner.dim
+        self.calls = []
+
+    def predict_batch(self, points):
+        self.calls.append(points.shape[0])
+        return self.inner.predict_batch(points)
+
+
+def test_generic_route_calls_the_model_on_at_most_8192_rows():
+    rng = np.random.default_rng(10)
+    dim, n_bg = 10, 32
+    model = CallCounter(Opaque(mixed_component_map(dim, rng)))
+    background = with_negative_zeros(rng.normal(size=(n_bg, dim)), rng)
+    bounded = InterventionalValueFunction(model, background)
+    whole = InterventionalValueFunction(model, background)
+    whole._TARGET_ROWS = 1 << 20
+    for _ in range(2):
+        x = with_negative_zeros(rng.normal(size=dim), rng)
+        model.calls.clear()
+        table = bounded.batch_evaluate(x)
+        assert model.calls == [8192] * 4  # 2**10 masks * 32 rows
+        model.calls.clear()
+        assert np.array_equal(table, whole.batch_evaluate(x))
+        assert model.calls == [(1 << dim) * n_bg]
+
+
+def test_a_background_larger_than_a_call_is_split_within_each_mask():
+    rng = np.random.default_rng(11)
+    dim, n_bg = 4, 10
+    model = CallCounter(Opaque(mixed_component_map(dim, rng)))
+    background = rng.normal(size=(n_bg, dim))
+    x = rng.normal(size=dim)
+    split = InterventionalValueFunction(model, background)
+    split._TARGET_ROWS = 4  # each mask's 10 rows as 4 + 4 + 2
+    table = split.batch_evaluate(x)
+    assert model.calls == [4, 4, 2] * (1 << dim)
+    assert np.array_equal(table, InterventionalValueFunction(model, background).batch_evaluate(x))
 
 
 def test_interventional_lookup_clamps_count_the_reduced_rows():
