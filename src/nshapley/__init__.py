@@ -27,7 +27,6 @@ from .core import (
     shapley_gam,
 )
 from .exactnum import bernoulli, coeff_c
-from .lattice import SubsetTable, moebius_transform
 from .models import (
     CheckerboardModel,
     ComponentMap,
@@ -60,9 +59,6 @@ __all__ = [
     # exact coefficients
     "bernoulli",
     "coeff_c",
-    # lattice
-    "SubsetTable",
-    "moebius_transform",
     # value functions
     "NoMatchingRows",
     "ValueTable",
@@ -88,14 +84,15 @@ __all__ = [
     # engine
     "InteractionIndex",
     "ShapleyGam",
-    "RecoveryReport",
-    "delta_all",
-    "n_shapley_recursive",
-    "n_shapley_explicit",
     "n_shapley_from_gam",
     "n_shapley_all_orders",
     "shapley_gam",
     "reduce_order",
+    # cross-check routes (``nshapley check`` and the tests)
+    "RecoveryReport",
+    "delta_all",
+    "n_shapley_recursive",
+    "n_shapley_explicit",
     "classic_shapley_oracle",
     "recovery_check",
     # analysis

@@ -25,17 +25,25 @@ from .models import ProcessFailed, ProtocolTimeout
 from .valuefn import NoMatchingRows
 
 
+# Each flag sets the config key of its name, dashes as underscores.
+_FLAGS = (
+    ("--data", "CSV dataset (header line required)", {}),
+    ("--model", "model spec: JSON object or bare type name", {}),
+    ("--value-fn", "value function spec: JSON object or bare type name", {}),
+    ("--background", "'all' or a row range 'start:stop'", {}),
+    ("--order", "explanation order: integer or 'all'", {}),
+    ("--points", "'all', 'sample:N', or comma-joined row indices", {}),
+    ("--out", "output path", {}),
+    ("--format", "output format", {"choices": ["json", "csv"]}),
+    ("--seed", "seed for point sampling", {"type": int}),
+)
+_SPEC_KEYS = ("model", "value_fn")
+
+
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON run configuration file")
-    parser.add_argument("--data", help="CSV dataset (header line required)")
-    parser.add_argument("--model", help="model spec: JSON object or bare type name")
-    parser.add_argument("--value-fn", help="value function spec: JSON object or bare type name")
-    parser.add_argument("--background", help="'all' or a row range 'start:stop'")
-    parser.add_argument("--order", help="explanation order: integer or 'all'")
-    parser.add_argument("--points", help="'all', 'sample:N', or comma-joined row indices")
-    parser.add_argument("--out", help="output path")
-    parser.add_argument("--format", choices=["json", "csv"], help="output format")
-    parser.add_argument("--seed", type=int, help="seed for point sampling")
+    for flag, text, extra in _FLAGS:
+        parser.add_argument(flag, help=text, **extra)
 
 
 def _json_or_name(raw: str):
@@ -50,24 +58,11 @@ def _json_or_name(raw: str):
 
 def _assemble_config(args: argparse.Namespace) -> RunConfig:
     base = read_config_document(args.config) if args.config else {}
-    if args.data is not None:
-        base["data"] = args.data
-    if args.model is not None:
-        base["model"] = _json_or_name(args.model)
-    if args.value_fn is not None:
-        base["value_fn"] = _json_or_name(args.value_fn)
-    if args.background is not None:
-        base["background"] = args.background
-    if args.order is not None:
-        base["order"] = args.order
-    if args.points is not None:
-        base["points"] = args.points
-    if args.out is not None:
-        base["out"] = args.out
-    if args.format is not None:
-        base["format"] = args.format
-    if args.seed is not None:
-        base["seed"] = args.seed
+    for flag, _, _ in _FLAGS:
+        key = flag[2:].replace("-", "_")
+        raw = getattr(args, key)
+        if raw is not None:
+            base[key] = _json_or_name(raw) if key in _SPEC_KEYS else raw
     return RunConfig.from_mapping(base)
 
 
@@ -112,9 +107,7 @@ def main(argv=None) -> int:
             sys.stdout.write(text)
             return 0 if ok else 1
         elif args.command == "plot":
-            if not config.out:
-                raise ConfigError("plot: --out is required")
-            written = run_plot(config, args.mode, args.feature, config.out)
+            written = run_plot(config, args.mode, args.feature)
             for path in written:
                 sys.stdout.write(path + "\n")
     except (

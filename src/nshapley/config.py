@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, fields, replace
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import core
-from .analysis import interaction_degree, partial_dependence
+from .analysis import DependenceSeries, interaction_degree, partial_dependence
 from .core import (
     InteractionIndex,
     ShapleyGam,
@@ -537,25 +538,26 @@ def _degree_text(config: RunConfig, prepared: _Prepared) -> str:
     return text
 
 
-def run_check(config: RunConfig, tol: float = 1e-9) -> tuple[str, bool]:
+def run_check(config: RunConfig) -> tuple[str, bool]:
     """Efficiency, dual-path and recovery suites on the configured run.
 
-    Returns the report text and whether every check passed. The slow
-    cross-validation routes run once per point, up to dim 10, and the
-    brute-force per-feature oracle up to dim 12.
+    Returns the report text and whether every check passed, each within
+    1e-9. The slow cross-validation routes run once per point, up to
+    dim 10, and the brute-force per-feature oracle up to dim 12.
     """
     prepared = _prepare(config)
     with prepared.model:
         if not config.out:
-            return _check_report(prepared, tol)
+            return _check_report(prepared)
         with results_file(config.out) as fh:
-            text, ok = _check_report(prepared, tol)
+            text, ok = _check_report(prepared)
             fh.write(text)
     return text, ok
 
 
-def _check_report(prepared: _Prepared, tol: float) -> tuple[str, bool]:
+def _check_report(prepared: _Prepared) -> tuple[str, bool]:
     d = prepared.dataset.dim
+    tol = 1e-9
     lines = []
     ok = True
 
@@ -608,46 +610,44 @@ def _check_report(prepared: _Prepared, tol: float) -> tuple[str, bool]:
     return "\n".join(lines) + "\n", ok
 
 
-def run_plot(config: RunConfig, mode: str, feature: int | None, out: str) -> list[str]:
-    """Render bar or dependence figures; returns the paths written."""
-    import os
+def run_plot(config: RunConfig, mode: str, feature: int | None) -> list[str]:
+    """Render bar or dependence figures into ``config.out``; returns the paths written.
 
+    Every point is computed before any figure is written, so a failed
+    point leaves none. ``dependence`` keeps one (x_f, Phi_f) pair per
+    point and order, not the points' indices.
+    """
+    out = config.out
+    if not out:
+        raise ConfigError("plot: --out is required")
     if mode not in ("bars", "dependence"):
         raise ConfigError(f"plot: unknown mode {mode!r} (expected bars|dependence)")
     prepared = _prepare(config)
     dim = prepared.dataset.dim
     if mode == "dependence" and (feature is None or not 0 <= feature < dim):
         raise ConfigError(f"plot: dependence needs a feature index in 0..{dim - 1}, got {feature}")
-    written: list[str] = []
+    figures: dict = {}  # file stem -> its index (bars), or its pair of each point
     with prepared.model:
-        per_point = {pid: _indices_for_point(prepared, pid) for pid in prepared.point_ids}
-    if mode == "bars":
-        jobs = [(pid, ix) for pid in prepared.point_ids for ix in per_point[pid]]
-        single = len(jobs) == 1 and out.endswith(".svg")
-        if not single:
-            os.makedirs(out, exist_ok=True)
-        for pid, index in jobs:
-            path = out if single else os.path.join(
-                out, f"bars_point{pid}_order{index.order}.svg"
-            )
-            emit_stacked_bars(index, path, feature_names=prepared.dataset.columns)
-            written.append(path)
-        return written
-    by_order: dict[int, list[InteractionIndex]] = {}
-    for pid in prepared.point_ids:
-        for index in per_point[pid]:
-            by_order.setdefault(index.order, []).append(index)
-    single = len(by_order) == 1 and out.endswith(".svg")
+        for pid in prepared.point_ids:
+            for index in _indices_for_point(prepared, pid):
+                if mode == "bars":
+                    figures[f"bars_point{pid}_order{index.order}"] = index
+                else:
+                    stem = f"dependence_feature{feature}_order{index.order}"
+                    figures.setdefault(stem, []).append(partial_dependence([index], feature))
+    single = len(figures) == 1 and out.endswith(".svg")
     if not single:
         os.makedirs(out, exist_ok=True)
-    for order in sorted(by_order):
-        series = partial_dependence(by_order[order], feature)
-        if single:
-            svg_path = out
-            csv_path = out[: -len(".svg")] + ".csv"
-        else:
-            stem = os.path.join(out, f"dependence_feature{feature}_order{order}")
-            svg_path, csv_path = stem + ".svg", stem + ".csv"
-        emit_dependence(series, csv_path, svg_path)
+    written: list[str] = []
+    for stem, figure in figures.items():
+        svg_path = out if single else os.path.join(out, stem + ".svg")
+        if mode == "bars":
+            emit_stacked_bars(figure, svg_path, feature_names=prepared.dataset.columns)
+            written.append(svg_path)
+            continue
+        csv_path = svg_path[: -len(".svg")] + ".csv"
+        x = np.concatenate([pair.x for pair in figure])
+        phi = np.concatenate([pair.phi for pair in figure])
+        emit_dependence(DependenceSeries(feature, figure[0].order, x, phi), csv_path, svg_path)
         written.extend([csv_path, svg_path])
     return written

@@ -123,11 +123,6 @@ class ShapleyGam(InteractionIndex):
         if self.order != self.dim:
             raise ValueError("a decomposition has order == dim")
 
-    def component(self, mask: int) -> float:
-        if mask == 0:
-            return self.baseline
-        return self.value(mask)
-
     def prediction(self) -> float:
         return self.baseline + self.total()
 
@@ -423,9 +418,6 @@ class RecoveryReport:
     max_component_above_order: float
     worst_subset_above_order: int
     max_attribution_gap: float
-
-    def is_order(self, tol: float = 1e-9) -> bool:
-        return self.max_component_above_order <= tol
 
 
 def recovery_check(gam: ShapleyGam, phi: InteractionIndex) -> RecoveryReport:

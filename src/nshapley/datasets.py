@@ -21,7 +21,6 @@ class Dataset:
     columns: tuple[str, ...]
     rows: np.ndarray
     labels: np.ndarray | None = None
-    label_column: str | None = None
 
     def __post_init__(self):
         rows = np.array(self.rows, dtype=np.float64)
@@ -110,5 +109,4 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
         columns=tuple(header[i] for i in feature_cols),
         rows=matrix[:, feature_cols],
         labels=matrix[:, label_idx],
-        label_column=label_column,
     )

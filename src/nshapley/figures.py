@@ -7,7 +7,9 @@ segment sums therefore reconstruct the order-1 attributions, and the
 grand total across features equals v(full) - v(empty).
 
 SVG output is static and self-contained, one file per figure, with one
-color per interaction order and a legend.
+color per interaction order and a legend. Every figure file, SVG or CSV,
+goes through ``serialize.results_file``: it is written whole or not at
+all.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import DependenceSeries
-from .core import InteractionIndex, reduce_order
+from .core import InteractionIndex
 from .lattice import indices_from_mask, popcount, subset_key
+from .serialize import results_file
 
 __all__ = [
     "BarSegment",
@@ -27,7 +30,6 @@ __all__ = [
     "stacked_bar_figure",
     "stacked_bars_svg",
     "emit_stacked_bars",
-    "reconstruction_gap",
     "dependence_csv",
     "dependence_svg",
     "emit_dependence",
@@ -72,9 +74,6 @@ class StackedBarFigure:
     def feature_totals(self) -> np.ndarray:
         return np.array([sum(seg.value for seg in per) for per in self.segments])
 
-    def grand_total(self) -> float:
-        return float(self.feature_totals().sum())
-
 
 def stacked_bar_figure(index: InteractionIndex) -> StackedBarFigure:
     """Fold an index into per-feature stacks of order-tagged segments.
@@ -107,11 +106,21 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def stacked_bars_svg(figure: StackedBarFigure, feature_names: Sequence[str] | None = None) -> str:
+def _svg_document(width: float, height: float, body: list[str]) -> str:
+    """A standalone SVG of the given size: white background, then ``body``'s elements."""
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
+        f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
+        '<rect width="100%" height="100%" fill="white"/>',
+        *body,
+        "</svg>",
+    ]
+    return "\n".join(parts) + "\n"
+
+
+def stacked_bars_svg(figure: StackedBarFigure, feature_names: Sequence[str]) -> str:
     """Self-contained SVG: one stacked signed bar per feature, legend by order."""
     d = figure.dim
-    if feature_names is None:
-        feature_names = [f"x{i + 1}" for i in range(d)]  # 1-based for humans
     bar_w, gap, left, top = 42.0, 18.0, 64.0, 24.0
     plot_h = 280.0
     legend_w = 110.0
@@ -130,9 +139,6 @@ def stacked_bars_svg(figure: StackedBarFigure, feature_names: Sequence[str] | No
     zero_y = top + pos_extent * scale
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
-        f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
-        '<rect width="100%" height="100%" fill="white"/>',
         f'<line x1="{_fmt(left - 10)}" y1="{_fmt(zero_y)}" '
         f'x2="{_fmt(left + d * (bar_w + gap))}" y2="{_fmt(zero_y)}" '
         'stroke="#333333" stroke-width="1"/>',
@@ -177,28 +183,17 @@ def stacked_bars_svg(figure: StackedBarFigure, feature_names: Sequence[str] | No
             f'<text x="{_fmt(legend_x + 20)}" y="{_fmt(y + 12)}" '
             f'font-family="sans-serif" font-size="12">{k}</text>'
         )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg_document(width, height, parts)
 
 
 def emit_stacked_bars(
-    index: InteractionIndex, svg_path, feature_names: Sequence[str] | None = None
+    index: InteractionIndex, svg_path, feature_names: Sequence[str]
 ) -> StackedBarFigure:
     """Build the figure data for an index and write its SVG rendering."""
     figure = stacked_bar_figure(index)
-    with open(svg_path, "w", encoding="utf-8", newline="\n") as fh:
+    with results_file(svg_path) as fh:
         fh.write(stacked_bars_svg(figure, feature_names))
     return figure
-
-
-def reconstruction_gap(figure: StackedBarFigure, index: InteractionIndex) -> float:
-    """Largest |per-feature total - order-1 attribution|; ~0 by construction."""
-    order_one = reduce_order(index, 1)
-    totals = figure.feature_totals()
-    gap = 0.0
-    for i in range(index.dim):
-        gap = max(gap, abs(totals[i] - order_one.value(1 << i)))
-    return gap
 
 
 def dependence_csv(series: DependenceSeries) -> str:
@@ -216,9 +211,6 @@ def dependence_svg(series: DependenceSeries) -> str:
     width = left + plot_w + 24.0
     height = top + plot_h + 52.0
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
-        f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
-        '<rect width="100%" height="100%" fill="white"/>',
         f'<rect x="{_fmt(left)}" y="{_fmt(top)}" width="{_fmt(plot_w)}" '
         f'height="{_fmt(plot_h)}" fill="none" stroke="#333333" stroke-width="1"/>',
         f'<text x="{_fmt(left + plot_w / 2)}" y="{_fmt(top + plot_h + 36)}" '
@@ -252,13 +244,12 @@ def dependence_svg(series: DependenceSeries) -> str:
                 f'font-family="sans-serif" font-size="10" text-anchor="{anchor}">'
                 f"{label:.4g}</text>"
             )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg_document(width, height, parts)
 
 
 def emit_dependence(series: DependenceSeries, csv_path, svg_path) -> None:
-    """Write the series as a CSV table and a scatter SVG."""
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
+    """Write the series as a CSV table and a scatter SVG, each whole or not at all."""
+    with results_file(csv_path) as fh:
         fh.write(dependence_csv(series))
-    with open(svg_path, "w", encoding="utf-8", newline="\n") as fh:
+    with results_file(svg_path) as fh:
         fh.write(dependence_svg(series))

@@ -44,14 +44,11 @@ def popcount(mask: int) -> int:
     return int(mask).bit_count()
 
 
-def mask_from_indices(indices, dim: int | None = None) -> int:
+def mask_from_indices(indices) -> int:
     """Bitmask of a collection of 0-based feature indices."""
     mask = 0
     for i in indices:
-        i = int(i)
-        if i < 0 or (dim is not None and i >= dim):
-            raise ValueError(f"feature index {i} out of range for dim={dim}")
-        mask |= 1 << i
+        mask |= 1 << int(i)  # a negative index raises ValueError
     return mask
 
 
@@ -94,12 +91,6 @@ class SubsetTable:
         values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-    def __getitem__(self, mask: int) -> float:
-        return float(self.values[mask])
 
 
 def moebius_transform(table: SubsetTable) -> SubsetTable:

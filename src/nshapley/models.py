@@ -348,10 +348,10 @@ class KnnModel(PredictFn):
 
     Distance ties break toward the lower row index, so predictions are
     deterministic. Returns the label mean (a probability-like score for
-    0/1 labels), never a hard class.
+    0/1 labels), never a hard class. Queries are taken in blocks sized
+    from the training set, so each block's (queries, n_train, dim)
+    differences take about 8 MiB, however large the batch.
     """
-
-    _CHUNK = 2048
 
     def __init__(self, train, labels, k: int):
         self.train = np.array(train, dtype=np.float64)
@@ -368,8 +368,9 @@ class KnnModel(PredictFn):
     def predict_batch(self, points):
         pts = as_points(points, self.dim)
         out = np.empty(pts.shape[0])
-        for start in range(0, pts.shape[0], self._CHUNK):
-            block = pts[start : start + self._CHUNK]
+        rows = max(1, (1 << 20) // max(1, self.train.size))
+        for start in range(0, pts.shape[0], rows):
+            block = pts[start : start + rows]
             d2 = ((block[:, None, :] - self.train[None, :, :]) ** 2).sum(axis=2)
             nearest = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
             out[start : start + block.shape[0]] = self.labels[nearest].mean(axis=1)
@@ -398,6 +399,11 @@ MAX_TIMEOUT = 1_000_000.0
 _STDERR_TAIL = 2048
 
 
+def _quoted(line: bytes) -> str:
+    """A reply line for a failure message: its first 80 bytes, and '...' if there are more."""
+    return repr(line[:80].decode(errors="replace")) + ("..." if len(line) > 80 else "")
+
+
 class ExternalModel(PredictFn):
     """Batch bridge to a model running in a child process.
 
@@ -421,7 +427,8 @@ class ExternalModel(PredictFn):
     child (stdin closed, killed if still running after a grace period).
     The child's stderr is read whenever the engine waits on it, during a
     batch and while it exits; its last 2 KiB are kept, and every failure
-    message ends with their last non-empty line. Access is serialised
+    message ends with their last non-empty line. A message quotes at
+    most the first 80 bytes of a reply line. Access is serialised
     internally.
     """
 
@@ -549,12 +556,11 @@ class ExternalModel(PredictFn):
                                 out[lines_read] = float(line)
                             except ValueError:
                                 raise self._fail(
-                                    f"sent malformed reply line {lines_read + 1}: "
-                                    f"{line.decode(errors='replace')!r}"
+                                    f"sent malformed reply line {lines_read + 1}: {_quoted(line)}"
                                 ) from None
                         elif lines_read == n and line != b"END":
                             raise self._fail(
-                                f"sent {line.decode(errors='replace')!r} where END was expected "
+                                f"sent {_quoted(line)} where END was expected "
                                 f"(reply line {n + 1})"
                             )
                         lines_read += 1

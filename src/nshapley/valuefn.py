@@ -73,12 +73,12 @@ class NonFiniteValue(ValueError):
         )
 
 
-def as_background(rows, dim: int | None = None) -> np.ndarray:
+def as_background(rows, dim: int) -> np.ndarray:
     """Coerce a background/reference sample to a nonempty (n, dim) float64 matrix."""
     arr = np.ascontiguousarray(rows, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise ValueError(f"background must be a nonempty 2-d matrix, got shape {arr.shape}")
-    if dim is not None and arr.shape[1] != dim:
+    if arr.shape[1] != dim:
         raise ValueError(f"background has {arr.shape[1]} columns, expected {dim}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("background entries must be finite")
@@ -117,9 +117,6 @@ class ValueTable:
     @property
     def values(self) -> np.ndarray:
         return self.table.values
-
-    def __getitem__(self, mask: int) -> float:
-        return float(self.table.values[mask])
 
 
 class ValueFunction(abc.ABC):

@@ -22,6 +22,8 @@ own components.
 
 ``scatter`` and ``entries`` convert between the ``{mask: value}``
 mappings the tests write by hand and an index's dense ``values`` array.
+``reconstruction_gap`` measures how far a stacked-bar figure's
+per-feature totals are from the order-1 attributions of its index.
 ``oracle_record`` and ``oracle_csv`` are the dict-per-record and
 line-per-coalition writers the streamed results writers replaced,
 kept as the reference their bytes must match. ``oracle_request`` is the
@@ -47,7 +49,7 @@ from math import comb, factorial
 import numpy as np
 
 from nshapley import _kernels
-from nshapley.core import _bernoulli_floats, _mixing_matrix, delta_all
+from nshapley.core import _bernoulli_floats, _mixing_matrix, delta_all, reduce_order
 from nshapley.exactnum import bernoulli
 from nshapley.lattice import MAX_DIM, SubsetTable
 from nshapley.models import ComponentMap, ConstantComponent, LookupComponent
@@ -215,6 +217,16 @@ def entries(index) -> dict[int, float]:
     """An index's covered coalitions and their values, in ascending mask order."""
     masks = index.masks()
     return dict(zip(masks.tolist(), index.values[masks].tolist()))
+
+
+def reconstruction_gap(figure, index) -> float:
+    """Largest |per-feature total - order-1 attribution|; ~0 by construction."""
+    order_one = reduce_order(index, 1)
+    totals = figure.feature_totals()
+    gap = 0.0
+    for i in range(index.dim):
+        gap = max(gap, abs(totals[i] - order_one.value(1 << i)))
+    return gap
 
 
 def oracle_key(mask: int, dim: int) -> str:

@@ -544,6 +544,62 @@ def test_plot_dependence_checks_the_feature_before_any_point(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", [["bars"], ["dependence", "0"]], ids=["bars", "dependence"])
+def test_plot_without_out_is_an_error_before_any_point(mode, product_fixture, tmp_path, capsys):
+    # computing a point would try to spawn this missing command
+    model = {"type": "external", "command": str(tmp_path / "no-such-model"), "timeout": 5}
+    code = run_cli(
+        "plot", *mode,
+        "--data", product_fixture,
+        "--model", json.dumps(model),
+        "--value-fn", "interventional",
+        "--background", "0:4",
+        "--points", "all",
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "nshapley: error: plot: --out is required\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [product_fixture]
+
+
+def test_plot_dependence_memory_does_not_grow_with_the_points(tmp_path):
+    import tracemalloc
+
+    dim = 14
+    rng = np.random.default_rng(3)
+    data = tmp_path / "wide.csv"
+    rows = [",".join(f"x{i}" for i in range(dim))]
+    rows.extend(",".join(repr(v) for v in row) for row in rng.normal(size=(20, dim)).tolist())
+    data.write_text("\n".join(rows) + "\n")
+    x = {"kind": "poly", "coeffs": [0, 1]}
+    components = [
+        {"type": "term", "features": sorted({i, (i + 1) % dim, (i + 4) % dim}), "factors": [x] * 3}
+        for i in range(dim)
+    ]
+    args = [
+        "plot", "dependence", "0",
+        "--data", data,
+        "--model", json.dumps({"type": "additive", "components": []}),
+        "--value-fn", json.dumps({"type": "gam", "components": components}),
+        "--order", "all",
+    ]
+
+    def peak(count):
+        tracemalloc.start()
+        try:
+            points = ",".join(map(str, range(count)))
+            assert run_cli(*args, "--points", points, "--out", tmp_path / f"figs{count}") == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # fills the per-dimension caches
+    small, large = peak(5), peak(20)
+    assert abs(large - small) < 2**20  # every order's index of a point takes 1.8 MB
+    assert len(list((tmp_path / "figs20").iterdir())) == 2 * dim
+
+
 def test_point_sampling_is_seeded(product_fixture, tmp_path):
     out1 = tmp_path / "s1.json"
     out2 = tmp_path / "s2.json"

@@ -620,7 +620,6 @@ def test_recovery_on_a_true_order_two_model():
     report = recovery_check(gam, n_shapley_from_gam(gam, 2))
     assert report.max_component_above_order <= 1e-9
     assert report.max_attribution_gap <= 1e-9
-    assert report.is_order()
 
 
 def test_recovery_flags_the_checkerboard_top_component():
@@ -633,7 +632,6 @@ def test_recovery_flags_the_checkerboard_top_component():
     report = recovery_check(gam, n_shapley_from_gam(gam, 2))
     assert report.max_component_above_order == pytest.approx(0.5, abs=1e-9)
     assert report.worst_subset_above_order == (1 << dim) - 1
-    assert not report.is_order()
 
 
 def test_recovery_check_matches_the_per_mask_loop():
@@ -720,8 +718,8 @@ def test_gam_type_requires_full_order():
         baseline=1.0,
         values=scatter(2, {0b01: 1.0, 0b10: 2.0, 0b11: 3.0}),
     )
-    assert gam.component(0) == 1.0
-    assert gam.component(0b11) == 3.0
+    assert gam.baseline == 1.0
+    assert gam.value(0b11) == 3.0
     assert gam.prediction() == 7.0
 
 

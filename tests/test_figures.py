@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from _exact_oracle import scatter
+from _exact_oracle import reconstruction_gap, scatter
 from nshapley.analysis import DependenceSeries
 from nshapley.core import InteractionIndex, reduce_order, shapley_gam
 from nshapley.figures import (
@@ -11,7 +11,6 @@ from nshapley.figures import (
     dependence_svg,
     emit_dependence,
     emit_stacked_bars,
-    reconstruction_gap,
     stacked_bar_figure,
     stacked_bars_svg,
 )
@@ -88,7 +87,7 @@ def test_worked_example_full_interaction():
         assert [s.value for s in order4] == [pytest.approx(quarter)]
     assert reconstruction_gap(figure, index) <= 1e-12
     # every segment lands on the attributions of exactly its members
-    assert figure.grand_total() == pytest.approx(
+    assert figure.feature_totals().sum() == pytest.approx(
         sum(MAINS) + 0.1 - 0.1 + 0.1 - 0.1
     )
 
@@ -112,7 +111,7 @@ def test_grand_total_matches_value_gap_for_real_tables():
     table = ValueTable(SubsetTable(5, values), np.zeros(5))
     gam = shapley_gam(table)
     figure = stacked_bar_figure(gam)
-    assert figure.grand_total() == pytest.approx(
+    assert figure.feature_totals().sum() == pytest.approx(
         float(values[-1] - values[0]), abs=1e-9
     )
     assert reconstruction_gap(figure, gam) <= 1e-9
@@ -137,7 +136,7 @@ def test_feature_totals_reconstruct_order_one_for_random_indices():
 
 def test_svg_rendering_smoke(tmp_path):
     index = index_with(4, 2, MAINS, {(1, 2): 0.1})
-    svg = stacked_bars_svg(stacked_bar_figure(index))
+    svg = stacked_bars_svg(stacked_bar_figure(index), ("a", "b", "c", "d"))
     assert svg.startswith("<svg")
     assert svg.rstrip().endswith("</svg>")
     assert svg.count("<rect") >= 3
@@ -154,7 +153,7 @@ def test_svg_rendering_smoke(tmp_path):
 
 def test_all_zero_figure_still_renders():
     index = index_with(2, 1, (0.0, 0.0), {})
-    svg = stacked_bars_svg(stacked_bar_figure(index))
+    svg = stacked_bars_svg(stacked_bar_figure(index), ("a", "b"))
     assert "</svg>" in svg
 
 
@@ -169,6 +168,23 @@ def test_dependence_csv_and_svg(tmp_path):
     emit_dependence(series, tmp_path / "dep.csv", tmp_path / "dep.svg")
     assert (tmp_path / "dep.csv").read_text() == csv_text
     assert "<svg" in (tmp_path / "dep.svg").read_text()
+
+
+def test_a_figure_that_fails_to_render_leaves_no_file(tmp_path, monkeypatch):
+    from nshapley import figures
+
+    def fail(*_):
+        raise RuntimeError("render failed")
+
+    series = DependenceSeries(feature=0, order=1, x=np.array([0.5]), phi=np.array([0.25]))
+    monkeypatch.setattr(figures, "dependence_svg", fail)
+    with pytest.raises(RuntimeError):
+        emit_dependence(series, tmp_path / "dep.csv", tmp_path / "dep.svg")
+    monkeypatch.setattr(figures, "stacked_bars_svg", fail)
+    with pytest.raises(RuntimeError):
+        emit_stacked_bars(index_with(2, 1, (0.5, 0.0), {}), tmp_path / "bars.svg", ("a", "b"))
+    # the CSV was written before the SVG failed; no partial SVG or temporary file is left
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dep.csv"]
 
 
 def test_empty_dependence_series():

@@ -34,11 +34,19 @@ RUNS = {
         "plot", "bars", "--config", "run.json", "--points", "6", "--order", "3",
         "--out", "{out}",
     ],
+    "dependence_feature2_order2.svg": [
+        "plot", "dependence", "2", "--config", "run.json", "--order", "2", "--out", "{out}",
+    ],
 }
+# expected file name -> the RUNS entry whose run writes it beside its output
+BESIDE = {"dependence_feature2_order2.csv": "dependence_feature2_order2.svg"}
 
 
 def produce(name: str, workdir: Path) -> bytes:
     """Run one golden command from the fixture directory; return its output bytes."""
+    if name in BESIDE:
+        produce(BESIDE[name], workdir)
+        return (workdir / name).read_bytes()
     out = workdir / name
     argv = [arg.replace("{out}", str(out)) for arg in RUNS[name]]
     stdout = io.StringIO()
@@ -55,7 +63,7 @@ def produce(name: str, workdir: Path) -> bytes:
     return stdout.getvalue().encode("utf-8")
 
 
-@pytest.mark.parametrize("name", sorted(RUNS))
+@pytest.mark.parametrize("name", sorted(RUNS | BESIDE))
 def test_output_matches_golden_bytes(name, tmp_path):
     assert produce(name, tmp_path) == (EXPECTED / name).read_bytes()
 
@@ -65,6 +73,6 @@ if __name__ == "__main__":
 
     EXPECTED.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for name in sorted(RUNS):
+        for name in sorted(RUNS | BESIDE):
             (EXPECTED / name).write_bytes(produce(name, Path(tmp)))
             print(EXPECTED / name)

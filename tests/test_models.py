@@ -222,6 +222,23 @@ def test_knn_validation():
         KnnModel(np.zeros((3, 2)), np.zeros(2), 1)
 
 
+def test_knn_memory_does_not_grow_with_the_batch():
+    import tracemalloc
+
+    rng = np.random.default_rng(32)
+    model = KnnModel(rng.normal(size=(2000, 14)), rng.normal(size=2000), 5)
+    queries = rng.normal(size=(8192, 14))  # one model call of the value functions
+    tracemalloc.start()
+    try:
+        batch = model.predict_batch(queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20  # 2048-query blocks took 531 MB
+    one_row_blocks = np.concatenate([model.predict_batch(q[None, :]) for q in queries])
+    assert batch.tobytes() == one_row_blocks.tobytes()
+
+
 def test_models_are_deterministic():
     rng = np.random.default_rng(31)
     train = rng.normal(size=(30, 3))

@@ -21,6 +21,7 @@ from nshapley.models import (
     SineFactor,
     StepFactor,
 )
+from nshapley.lattice import SubsetTable
 from nshapley.valuefn import (
     GamInducedValueFunction,
     InterventionalValueFunction,
@@ -337,7 +338,7 @@ def test_build_value_table_contract():
     table = build_value_table(vf, x)
     assert list(table.values) == [0.0, 0.0, 0.0, 12.0]
     # full-coalition entry reproduces the prediction
-    assert table[0b11] == pytest.approx(model.predict(x), abs=1e-12)
+    assert table.values[0b11] == pytest.approx(model.predict(x), abs=1e-12)
     assert table.point.flags.writeable is False
 
 
@@ -360,7 +361,7 @@ def test_build_value_table_names_first_non_finite_subset():
 def test_value_table_validates_point():
     with pytest.raises(ValueError):
         ValueTable(
-            table=__import__("nshapley").SubsetTable(2, np.zeros(4)),
+            table=SubsetTable(2, np.zeros(4)),
             point=np.array([1.0]),
         )
 
