@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import _kernels
 from .core import InteractionIndex, ShapleyGam
+from .lattice import frozen
 
 __all__ = ["DegreeReport", "interaction_degree", "DependenceSeries", "partial_dependence"]
 
@@ -44,34 +45,38 @@ class DegreeReport:
     order_mass_share: np.ndarray
 
     def __post_init__(self):
-        per_point = np.array(self.per_point, dtype=np.float64)
-        per_point.flags.writeable = False
-        object.__setattr__(self, "per_point", per_point)
-        shares = np.array(self.order_mass_share, dtype=np.float64)
-        shares.flags.writeable = False
-        object.__setattr__(self, "order_mass_share", shares)
+        object.__setattr__(self, "per_point", frozen(self.per_point))
+        object.__setattr__(self, "order_mass_share", frozen(self.order_mass_share))
         object.__setattr__(self, "quantiles", MappingProxyType(dict(self.quantiles)))
 
 
-def interaction_degree(gams: Sequence[ShapleyGam]) -> DegreeReport:
-    """Aggregate the degree of variable interaction over explained points."""
-    if len(gams) == 0:
-        raise ValueError("need at least one decomposition")
-    dim = gams[0].dim
-    if any(g.dim != dim for g in gams):
-        raise ValueError("all decompositions must share one dimension")
-    pc = _kernels.popcount_table(dim)
-    per_point = np.empty(len(gams))
-    pooled_by_order = np.zeros(dim + 1)
-    for idx, gam in enumerate(gams):
+def interaction_degree(gams: Iterable[ShapleyGam]) -> DegreeReport:
+    """Aggregate the degree of variable interaction over explained points.
+
+    ``gams`` may be any iterable, a generator included: each
+    decomposition is folded into d+1 masses by order as it arrives and
+    is not kept, so memory does not grow with the number of points.
+    """
+    dim = None
+    per_point = []
+    for gam in gams:
+        if dim is None:
+            dim = gam.dim
+            pc = _kernels.popcount_table(dim)
+            pooled_by_order = np.zeros(dim + 1)
+        elif gam.dim != dim:
+            raise ValueError("all decompositions must share one dimension")
         mass_by_order = np.bincount(pc, weights=np.abs(gam.values), minlength=dim + 1)
         pooled_by_order += mass_by_order
         total = mass_by_order.sum()
         if total == 0.0:
-            per_point[idx] = 0.0
+            per_point.append(0.0)
         else:
             orders = np.arange(dim + 1)
-            per_point[idx] = float((orders * mass_by_order).sum() / total)
+            per_point.append(float((orders * mass_by_order).sum() / total))
+    if dim is None:
+        raise ValueError("need at least one decomposition")
+    per_point = np.array(per_point)
     pooled_total = pooled_by_order.sum()
     if pooled_total == 0.0:
         pooled_degree = 0.0
@@ -106,14 +111,12 @@ class DependenceSeries:
     phi: np.ndarray
 
     def __post_init__(self):
-        x = np.array(self.x, dtype=np.float64)
-        phi = np.array(self.phi, dtype=np.float64)
+        x = frozen(self.x)
+        phi = frozen(self.phi)
         if x.shape != phi.shape or x.ndim != 1:
             raise ValueError("x and phi must be aligned 1-d arrays")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(phi))):
             raise ValueError("series entries must be finite")
-        x.flags.writeable = False
-        phi.flags.writeable = False
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "phi", phi)
 

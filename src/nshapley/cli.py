@@ -18,6 +18,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .config import ConfigError, RunConfig, RunError, read_config_document
 from .config import run_check, run_degree, run_explain, run_gam, run_plot
 from .datasets import DatasetError
@@ -92,6 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# An overflow or NaN a run produces is reported once, by the table check
+# naming its point and subset, not as numpy warnings before that line.
+@np.errstate(all="ignore")
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)

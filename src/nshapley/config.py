@@ -22,6 +22,7 @@ and every float is serialized in round-trip form.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -436,16 +437,22 @@ def _prepare(config: RunConfig) -> _Prepared:
     )
 
 
-def _value_table(prepared: _Prepared, point_id: int) -> ValueTable:
-    """One point's value table; every documented failure names the point."""
+@contextlib.contextmanager
+def _point(point_id: int) -> Iterator[None]:
+    """The one boundary of a point's computation: a documented failure inside names the point."""
     try:
-        return build_value_table(prepared.value_fn, prepared.dataset.rows[point_id])
+        yield
     except (NoMatchingRows, NonFiniteValue, ProcessFailed, ProtocolTimeout) as exc:
         raise RunError(f"point {point_id}: {exc}") from exc
 
 
+def _value_table(prepared: _Prepared, point_id: int) -> ValueTable:
+    return build_value_table(prepared.value_fn, prepared.dataset.rows[point_id])
+
+
 def _explain_point(prepared: _Prepared, point_id: int) -> ShapleyGam:
-    return shapley_gam(_value_table(prepared, point_id))
+    with _point(point_id):
+        return shapley_gam(_value_table(prepared, point_id))
 
 
 def _indices_for_gam(gam: ShapleyGam, orders: list[int]) -> list[InteractionIndex]:
@@ -455,7 +462,8 @@ def _indices_for_gam(gam: ShapleyGam, orders: list[int]) -> list[InteractionInde
 
 
 def _indices_for_point(prepared: _Prepared, point_id: int) -> list[InteractionIndex]:
-    return _indices_for_gam(_explain_point(prepared, point_id), prepared.orders)
+    with _point(point_id):  # the table is freed before the orders' arrays are built
+        return _indices_for_gam(shapley_gam(_value_table(prepared, point_id)), prepared.orders)
 
 
 def _labelled_indices(prepared: _Prepared) -> Iterator[tuple[int, InteractionIndex]]:
@@ -513,8 +521,7 @@ def run_degree(config: RunConfig) -> str:
 
 
 def _degree_text(config: RunConfig, prepared: _Prepared) -> str:
-    gams = [_explain_point(prepared, pid) for pid in prepared.point_ids]
-    report = interaction_degree(gams)
+    report = interaction_degree(_explain_point(prepared, pid) for pid in prepared.point_ids)
     if config.format == "csv":
         lines = ["point,degree"]
         lines.extend(
@@ -524,7 +531,7 @@ def _degree_text(config: RunConfig, prepared: _Prepared) -> str:
         text = "\n".join(lines) + "\n"
     else:
         payload = {
-            "count": len(gams),
+            "count": report.per_point.size,
             "mean_degree": report.mean_degree,
             "pooled_degree": report.pooled_degree,
             "quantiles": dict(report.quantiles),
@@ -566,8 +573,7 @@ def _check_report(prepared: _Prepared) -> tuple[str, bool]:
         ok = ok and passed
         lines.append(f"{'PASS' if passed else 'FAIL'}  {name}  {detail}")
 
-    for pid in prepared.point_ids:
-        table = _value_table(prepared, pid)
+    def check_point(pid: int, table: ValueTable):
         gam = shapley_gam(table)
         v_gap = float(table.values[-1] - table.values[0])
         scale = max(1.0, abs(float(table.values[-1])))
@@ -607,6 +613,10 @@ def _check_report(prepared: _Prepared) -> tuple[str, bool]:
                     f"max-above-order={report.max_component_above_order:.3e} "
                     f"attribution-gap={report.max_attribution_gap:.3e}"
                 )
+
+    for pid in prepared.point_ids:
+        with _point(pid):
+            check_point(pid, _value_table(prepared, pid))
     return "\n".join(lines) + "\n", ok
 
 

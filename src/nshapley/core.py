@@ -32,7 +32,7 @@ import numpy as np
 
 from . import _kernels
 from .exactnum import bernoulli, coeff_c
-from .lattice import SubsetTable, popcount, subset_key
+from .lattice import checked_table, frozen, popcount, subset_key
 from .valuefn import ValueTable
 
 __all__ = [
@@ -81,7 +81,7 @@ class InteractionIndex:
     def __post_init__(self):
         if not 1 <= self.order <= self.dim:
             raise ValueError(f"order must be in [1, dim={self.dim}], got {self.order}")
-        values = SubsetTable(self.dim, self.values).values
+        values = checked_table(self.dim, self.values)
         pc = _kernels.popcount_table(self.dim)
         stray = np.flatnonzero(((pc == 0) | (pc > self.order)) & (values != 0.0))
         if stray.size:
@@ -89,11 +89,7 @@ class InteractionIndex:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "baseline", float(self.baseline))
         if self.point is not None:
-            point = np.array(self.point, dtype=np.float64)
-            if point.shape != (self.dim,):
-                raise ValueError(f"point must have shape ({self.dim},)")
-            point.flags.writeable = False
-            object.__setattr__(self, "point", point)
+            object.__setattr__(self, "point", frozen(self.point, (self.dim,), "point"))
 
     def masks(self) -> np.ndarray:
         """The covered coalitions (1 <= |S| <= order), ascending."""
@@ -129,9 +125,7 @@ class ShapleyGam(InteractionIndex):
 
 @lru_cache(maxsize=None)
 def _bernoulli_floats(n: int) -> np.ndarray:
-    out = np.array([float(bernoulli(k)) for k in range(n + 1)])
-    out.flags.writeable = False
-    return out
+    return frozen([float(bernoulli(k)) for k in range(n + 1)])
 
 
 @lru_cache(maxsize=None)
@@ -141,8 +135,7 @@ def _mixing_matrix(dim: int) -> np.ndarray:
     for m in range(dim + 1):
         for a in range(m):
             out[a, m] = float(coeff_c(a, m))
-    out.flags.writeable = False
-    return out
+    return frozen(out)
 
 
 def _layer_supersets(values: np.ndarray, pc: np.ndarray, c: int, dim: int) -> np.ndarray:
@@ -276,8 +269,7 @@ def _delta_weights(dim: int) -> np.ndarray:
             w[s, t] = float(
                 Fraction(factorial(dim - t - s) * factorial(t), factorial(dim - s + 1))
             )
-    w.flags.writeable = False
-    return w
+    return frozen(w)
 
 
 def delta_all(table: ValueTable) -> np.ndarray:

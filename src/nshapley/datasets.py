@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .lattice import frozen
 
 __all__ = ["Dataset", "DatasetError", "load_csv"]
 
@@ -23,20 +26,18 @@ class Dataset:
     labels: np.ndarray | None = None
 
     def __post_init__(self):
-        rows = np.array(self.rows, dtype=np.float64)
+        rows = frozen(self.rows)
         if rows.ndim != 2 or rows.shape[0] == 0:
             raise DatasetError("dataset needs at least one data row")
         if rows.shape[1] != len(self.columns):
             raise DatasetError("column names do not match the matrix width")
         if not np.all(np.isfinite(rows)):
             raise DatasetError("dataset values must be finite")
-        rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
         if self.labels is not None:
-            labels = np.array(self.labels, dtype=np.float64)
+            labels = frozen(self.labels)
             if labels.shape != (rows.shape[0],):
                 raise DatasetError("labels must align with data rows")
-            labels.flags.writeable = False
             object.__setattr__(self, "labels", labels)
 
     @property
@@ -92,7 +93,7 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
                         f"{path}: line {line_no}, column {header[col_idx]!r}: "
                         f"{cell!r} is not a number"
                     ) from None
-                if not np.isfinite(value):
+                if not math.isfinite(value):
                     raise DatasetError(
                         f"{path}: line {line_no}, column {header[col_idx]!r}: "
                         f"{cell!r} is not finite"

@@ -28,6 +28,7 @@ from . import _kernels
 
 __all__ = [
     "MAX_DIM",
+    "NonFiniteValue",
     "SubsetTable",
     "popcount",
     "mask_from_indices",
@@ -70,6 +71,38 @@ def subset_key(mask: int) -> str:
     return ",".join(str(i) for i in indices_from_mask(mask))
 
 
+class NonFiniteValue(ValueError):
+    """A table over the subsets holds a NaN or infinite entry; ``subset`` is the lowest such mask."""
+
+    def __init__(self, subset: int, value: float):
+        self.subset = int(subset)
+        super().__init__(
+            f"value on subset {{{subset_key(subset)}}} is not finite ({value!r})"
+        )
+
+
+def frozen(values, shape: tuple[int, ...] | None = None, name: str = "array") -> np.ndarray:
+    """A read-only C-contiguous float64 copy of ``values``, of ``shape`` if one is given."""
+    out = np.array(values, dtype=np.float64, order="C")
+    if shape is not None and out.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {out.shape}")
+    out.flags.writeable = False
+    return out
+
+
+def checked_table(dim: int, values) -> np.ndarray:
+    """The frozen copy of a table over all 2**dim subsets; a NaN or infinite
+    entry raises ``NonFiniteValue`` naming the lowest such subset."""
+    if not 0 <= dim <= MAX_DIM:
+        raise ValueError(f"dim must be in [0, {MAX_DIM}], got {dim}")
+    out = frozen(values, (1 << dim,), f"a table for dim={dim}")
+    finite = np.isfinite(out)
+    if not finite.all():
+        lowest = int(np.argmin(finite))
+        raise NonFiniteValue(lowest, float(out[lowest]))
+    return out
+
+
 @dataclass(frozen=True)
 class SubsetTable:
     """Dense float64 table over all 2**dim subsets, immutable after construction."""
@@ -78,19 +111,7 @@ class SubsetTable:
     values: np.ndarray
 
     def __post_init__(self):
-        if not 0 <= self.dim <= MAX_DIM:
-            raise ValueError(f"dim must be in [0, {MAX_DIM}], got {self.dim}")
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
-        if values.shape != (1 << self.dim,):
-            raise ValueError(
-                f"table for dim={self.dim} needs exactly {1 << self.dim} entries, "
-                f"got shape {values.shape}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("table entries must be finite")
-        values = values.copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", checked_table(self.dim, self.values))
 
 
 def moebius_transform(table: SubsetTable) -> SubsetTable:

@@ -427,9 +427,9 @@ class ExternalModel(PredictFn):
     child (stdin closed, killed if still running after a grace period).
     The child's stderr is read whenever the engine waits on it, during a
     batch and while it exits; its last 2 KiB are kept, and every failure
-    message ends with their last non-empty line. A message quotes at
-    most the first 80 bytes of a reply line. Access is serialised
-    internally.
+    message ends with their last non-empty line. A message quotes a
+    reply line or that stderr line by ``_quoted``: at most its first 80
+    bytes, and '...' if there are more. Access is serialised internally.
     """
 
     def __init__(self, command: str, dim: int, timeout: float = 60.0):
@@ -471,9 +471,9 @@ class ExternalModel(PredictFn):
         return bool(chunk)
 
     def _stderr_line(self) -> str:
-        """``; stderr: '<its last non-empty line>'``, or nothing."""
-        lines = [ln for ln in self._stderr.decode(errors="replace").splitlines() if ln.strip()]
-        return f"; stderr: {lines[-1].strip()!r}" if lines else ""
+        """``; stderr: `` and its last non-empty line, quoted as a reply line is; or nothing."""
+        lines = [ln.strip() for ln in self._stderr.splitlines() if ln.strip()]
+        return f"; stderr: {_quoted(lines[-1])}" if lines else ""
 
     def _reap(self, grace: float) -> int:
         """Close stdin, give the child ``grace`` seconds to exit, then kill it; forget it.

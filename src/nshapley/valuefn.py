@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .lattice import MAX_DIM, SubsetTable, subset_key
+from .lattice import MAX_DIM, NonFiniteValue, SubsetTable, frozen, subset_key
 from .models import ComponentMap, PredictFn
 
 __all__ = [
@@ -63,16 +63,6 @@ class NoMatchingRows(LookupError):
         super().__init__(msg)
 
 
-class NonFiniteValue(ValueError):
-    """The value function produced a NaN or infinite entry for some subset."""
-
-    def __init__(self, subset: int, value: float):
-        self.subset = int(subset)
-        super().__init__(
-            f"value on subset {{{subset_key(subset)}}} is not finite ({value!r})"
-        )
-
-
 def as_background(rows, dim: int) -> np.ndarray:
     """Coerce a background/reference sample to a nonempty (n, dim) float64 matrix."""
     arr = np.ascontiguousarray(rows, dtype=np.float64)
@@ -86,9 +76,7 @@ def as_background(rows, dim: int) -> np.ndarray:
 
 
 def _as_point(point, dim: int) -> np.ndarray:
-    arr = np.ascontiguousarray(point, dtype=np.float64)
-    if arr.shape != (dim,):
-        raise ValueError(f"point must have shape ({dim},), got {arr.shape}")
+    arr = frozen(point, (dim,), "point")
     if not np.all(np.isfinite(arr)):
         raise ValueError("point coordinates must be finite")
     return arr
@@ -106,9 +94,7 @@ class ValueTable:
     point: np.ndarray
 
     def __post_init__(self):
-        point = _as_point(self.point, self.table.dim).copy()
-        point.flags.writeable = False
-        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "point", _as_point(self.point, self.table.dim))
 
     @property
     def dim(self) -> int:
@@ -139,16 +125,12 @@ def build_value_table(value_fn: ValueFunction, point) -> ValueTable:
     so the result does not depend on batching or parallel scheduling.
     ``NoMatchingRows`` from the observational semantics propagates with
     the offending subset attached; a NaN or infinite entry raises
-    ``NonFiniteValue`` naming the first such subset.
+    ``NonFiniteValue`` naming the lowest such subset.
     """
     if value_fn.dim > MAX_DIM:
         raise ValueError(f"dim {value_fn.dim} exceeds the hard cap of {MAX_DIM}")
     x = _as_point(point, value_fn.dim)
-    values = value_fn.batch_evaluate(x)
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise NonFiniteValue(int(bad[0]), float(values[bad[0]]))
-    return ValueTable(SubsetTable(value_fn.dim, values), x)
+    return ValueTable(SubsetTable(value_fn.dim, value_fn.batch_evaluate(x)), x)
 
 
 def _predict(model: PredictFn, rows: np.ndarray, call_rows: int) -> np.ndarray:
@@ -199,8 +181,7 @@ class InterventionalValueFunction(ValueFunction):
 
     def __init__(self, model: PredictFn, background):
         self.model = model
-        self.background = as_background(background, model.dim).copy()
-        self.background.flags.writeable = False
+        self.background = frozen(as_background(background, model.dim))
         self.dim = model.dim
 
     def _hybrid(self, x: np.ndarray, masks: np.ndarray) -> np.ndarray:
@@ -286,8 +267,7 @@ class ObservationalExactMatchValueFunction(ValueFunction):
 
     def __init__(self, model: PredictFn, data):
         self.model = model
-        self.data = as_background(data, model.dim).copy()
-        self.data.flags.writeable = False
+        self.data = frozen(as_background(data, model.dim))
         self.dim = model.dim
         # f evaluated once per data row; every conditional reuses these.
         self._predictions = np.asarray(

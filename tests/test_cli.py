@@ -600,6 +600,39 @@ def test_plot_dependence_memory_does_not_grow_with_the_points(tmp_path):
     assert len(list((tmp_path / "figs20").iterdir())) == 2 * dim
 
 
+def test_degree_memory_does_not_grow_with_the_points(tmp_path):
+    import tracemalloc
+
+    dim = 14
+    rng = np.random.default_rng(4)
+    data = tmp_path / "wide.csv"
+    rows = [",".join(f"x{i}" for i in range(dim))]
+    rows.extend(",".join(repr(v) for v in row) for row in rng.normal(size=(40, dim)).tolist())
+    data.write_text("\n".join(rows) + "\n")
+    x = {"kind": "poly", "coeffs": [0, 1]}
+    components = [{"type": "term", "features": [i], "factors": [x]} for i in range(dim)]
+    args = [
+        "degree",
+        "--data", data,
+        "--model", json.dumps({"type": "additive", "components": []}),
+        "--value-fn", json.dumps({"type": "gam", "components": components}),
+    ]
+
+    def peak(count):
+        tracemalloc.start()
+        try:
+            points = ",".join(map(str, range(count)))
+            assert run_cli(*args, "--points", points, "--out", tmp_path / f"degree{count}.json") == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # fills the per-dimension caches
+    small, large = peak(10), peak(40)
+    assert abs(large - small) < 2**20  # a point's decomposition takes 128 KiB
+    assert json.loads((tmp_path / "degree40.json").read_text())["count"] == 40
+
+
 def test_point_sampling_is_seeded(product_fixture, tmp_path):
     out1 = tmp_path / "s1.json"
     out2 = tmp_path / "s2.json"
@@ -876,6 +909,48 @@ def test_non_finite_model_output_is_a_clean_error(command, product_fixture, tmp_
     assert proc.stderr.startswith("nshapley: error: point 4: ")
     assert "not finite" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# finite model values whose decomposition overflows: f_{0} = 1e308 - (-1e308)
+OVERFLOW_MODEL = {
+    "type": "additive",
+    "components": [
+        {"type": "constant", "value": -1e308},
+        *[
+            {
+                "type": "term",
+                "features": [0],
+                "factors": [{"kind": "step", "threshold": 0.5}],
+                "coefficient": 1e308,
+            }
+        ] * 2,
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["explain"], ["gam"], ["degree"], ["check"], ["plot", "bars"]],
+    ids=["explain", "gam", "degree", "check", "plot-bars"],
+)
+def test_an_overflowing_decomposition_is_one_clean_error_line(command, tmp_path):
+    data = tmp_path / "data.csv"
+    data.write_text("a,b\n0,0\n1,1\n")
+    results = tmp_path / "results"
+    results.mkdir()
+    proc = run_module(
+        *command,
+        "--data", data,
+        "--model", json.dumps(OVERFLOW_MODEL),
+        "--value-fn", "interventional",
+        "--background", "0:1",
+        "--points", "1",
+        "--out", results / "out",
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "nshapley: error: point 1: value on subset {0} is not finite (inf)\n"
+    assert proc.stdout == ""
+    assert list(results.iterdir()) == []
 
 
 @pytest.mark.parametrize("where", ["config-int", "config-list", "directory", "missing-directory"])

@@ -398,6 +398,29 @@ def test_a_failure_names_the_last_line_the_child_wrote_to_stderr(tmp_path):
     assert model._proc is None
 
 
+BINARY_LAST_WORDS = """\
+import sys
+sys.stdin.readline()
+line = bytes(range(256)).replace(b"\\n", b"n").replace(b"\\r", b"r") * 8
+sys.stderr.buffer.write(line)  # one 2,048-byte line, the whole kept tail
+sys.stderr.flush()
+sys.exit(1)
+"""
+
+
+def test_a_long_binary_stderr_line_is_quoted_as_a_reply_line_is(tmp_path):
+    command = _stub(tmp_path, "b.py", BINARY_LAST_WORDS)
+    model = ExternalModel(command, dim=2)
+    with pytest.raises(ProcessFailed) as info:
+        model.predict_batch(np.zeros((2, 2)))
+    message = str(info.value)
+    assert "\n" not in message and len(message) < 400, message
+    assert message.endswith("'...")
+    # the first 80 bytes, decoded as a reply line is
+    quoted = repr(bytes(range(80)).replace(b"\n", b"n").replace(b"\r", b"r").decode())
+    assert message.endswith(f"; stderr: {quoted}...")
+
+
 PRODUCT_RECORDER = """\
 import sys
 log = sys.argv[1]
