@@ -49,13 +49,14 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _json_or_name(raw: str):
+    """A ``{...}`` flag value decoded; a bare type name stays a string."""
     raw = raw.strip()
     if raw.startswith("{"):
         try:
             return json.loads(raw)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"not valid JSON: {raw!r} ({exc})") from exc
-    return {"type": raw}
+    return raw
 
 
 def _assemble_config(args: argparse.Namespace) -> RunConfig:

@@ -6,7 +6,8 @@ A run is described by a JSON object (or the equivalent CLI flags):
       "data": "rows.csv",
       "model": {"type": "knn", "k": 3, "label": "y"},
       "value_fn": {"type": "interventional"},
-      "background": "all",          // or "start:stop" or [start, stop]
+      "background": "all",          // or "start:stop" or [start, stop];
+                                    // interventional only
       "order": "all",               // or an integer 1..d
       "points": [0, 2],             // or "all" or "sample:N"
       "seed": 0,
@@ -14,10 +15,13 @@ A run is described by a JSON object (or the equivalent CLI flags):
       "format": "json"
     }
 
-Unknown keys anywhere in the document are errors; a typo never passes
-silently. Identical configuration bytes produce byte-identical output
-files: backgrounds are taken in row order, point sampling is seeded,
-and every float is serialized in round-trip form.
+Every value function explains the configured model: ``interventional``
+over the background rows, ``observational`` over the data rows, and
+``gam`` through an additive model's own components. Unknown keys
+anywhere in the document are errors; a typo never passes silently.
+Identical configuration bytes produce byte-identical output files:
+backgrounds are taken in row order, point sampling is seeded, and
+every float is serialized in round-trip form.
 """
 
 from __future__ import annotations
@@ -162,10 +166,16 @@ class RunConfig:
         out = mapping.get("out")
         if out is not None and not isinstance(out, str):
             raise ConfigError(f"out: expected a path string or null, got {out!r}")
+        value_fn = _typed_spec(mapping["value_fn"], "value_fn")
+        if "background" in mapping and value_fn["type"] != "interventional":
+            raise ConfigError(
+                "background: only the interventional value function reads one,"
+                f" not {value_fn['type']!r}"
+            )
         return cls(
             data=str(mapping["data"]),
             model=_typed_spec(mapping["model"], "model"),
-            value_fn=_typed_spec(mapping["value_fn"], "value_fn"),
+            value_fn=value_fn,
             background=background,
             order=order,
             points=points,
@@ -366,8 +376,12 @@ def build_value_function(
         _require_keys(spec, {"type"}, set(), where)
         return ObservationalExactMatchValueFunction(model, dataset.rows)
     if vtype == "gam":
-        _require_keys(spec, {"type", "components"}, {"components"}, where)
-        return GamInducedValueFunction(parse_components(spec["components"], dataset.dim))
+        _require_keys(spec, {"type"}, set(), where)
+        if not isinstance(model, ComponentMap):
+            raise ConfigError(
+                "value_fn: gam decomposes the model's own components; it needs an additive model"
+            )
+        return GamInducedValueFunction(model)
     raise ConfigError(f"value_fn: unknown type {vtype!r}")
 
 
@@ -375,10 +389,12 @@ def _resolve_background(config: RunConfig, dataset: Dataset) -> np.ndarray:
     if config.background == "all":
         return dataset.rows
     start, stop = config.background
-    rows = dataset.rows[start:stop]
-    if rows.shape[0] == 0:
-        raise ConfigError(f"background: row range {start}:{stop} selects no rows")
-    return rows
+    if not 0 <= start < stop <= len(dataset):
+        raise ConfigError(
+            f"background: row range {start}:{stop} needs 0 <= start < stop <= {len(dataset)}"
+            f" (the dataset has {len(dataset)} rows)"
+        )
+    return dataset.rows[start:stop]
 
 
 def _resolve_points(config: RunConfig, dataset: Dataset) -> list[int]:

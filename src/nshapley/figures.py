@@ -106,6 +106,11 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _escape(text: str) -> str:
+    """``text`` as XML character data (``xml.sax.saxutils`` would import ``urllib``)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _svg_document(width: float, height: float, body: list[str]) -> str:
     """A standalone SVG of the given size: white background, then ``body``'s elements."""
     parts = [
@@ -166,7 +171,7 @@ def stacked_bars_svg(figure: StackedBarFigure, feature_names: Sequence[str]) -> 
         parts.append(
             f'<text x="{_fmt(x + bar_w / 2)}" y="{_fmt(top + plot_h + 34)}" '
             f'font-family="sans-serif" font-size="12" text-anchor="middle">'
-            f"{feature_names[feat]}</text>"
+            f"{_escape(feature_names[feat])}</text>"
         )
     legend_x = left + d * (bar_w + gap) + 18.0
     parts.append(

@@ -23,9 +23,9 @@ are provided:
   silently switching semantics mid-table); one mean per closed
   coalition, at most 2**d of them, plus an O(d * 2**d) integer sweep,
   and the table is the per-mask definition's to the last bit,
-* decomposition-induced: cumulative sums of declared components, the
-  canonical value function whose decomposition is the components
-  themselves.
+* decomposition-induced: cumulative sums of an additive model's own
+  components, the canonical value function whose decomposition is
+  those components themselves.
 """
 
 from __future__ import annotations
@@ -307,11 +307,11 @@ class ObservationalExactMatchValueFunction(ValueFunction):
 
 
 class GamInducedValueFunction(ValueFunction):
-    """The canonical value function of a declared component decomposition.
+    """The canonical value function of an additive model's decomposition.
 
     Its dense table is the cumulative-subset-sum transform of the
-    pointwise component table, so inverting the table recovers the
-    declared components exactly.
+    model's pointwise component table, so inverting the table recovers
+    the model's components exactly.
     """
 
     def __init__(self, components: ComponentMap):

@@ -242,10 +242,20 @@ def _poly_model(coeffs):
          "a lookup takes at most 24 features"),
         ({"points": []}, "points: the list selects no rows"),
         ({"seed": -1, "points": "sample:2"}, "seed: must be >= 0, got -1"),
+        ({"background": "-2:-1"},
+         "row range -2:-1 needs 0 <= start < stop <= 5 (the dataset has 5 rows)"),
+        ({"background": "2:99"}, "row range 2:99 needs 0 <= start < stop <= 5"),
+        ({"background": [3, 3]}, "row range 3:3 needs 0 <= start < stop <= 5"),
+        ({"value_fn": "observational"},
+         "background: only the interventional value function reads one, not 'observational'"),
+        ({"value_fn": {"type": "gam"}},
+         "background: only the interventional value function reads one, not 'gam'"),
     ],
     ids=["granularity-x", "granularity-3", "coeff-q", "background-z", "seed-abc",
          "order-2.7", "points-0.9", "factors-7", "lookup-lo-object", "lookup-values-object",
-         "lookup-values-bool", "lookup-features-900", "points-empty", "seed-negative"],
+         "lookup-values-bool", "lookup-features-900", "points-empty", "seed-negative",
+         "background-negative", "background-past-the-rows", "background-empty",
+         "background-observational", "background-gam"],
 )
 def test_config_values_of_the_wrong_type_or_range_are_clean_errors(
     changes, message, product_fixture, tmp_path, capsys
@@ -470,6 +480,30 @@ def test_plot_bars_single_file(product_fixture, tmp_path):
     assert ">f0<" in text  # dataset column names label the bars
 
 
+def test_plot_bars_escapes_column_names(tmp_path):
+    from xml.dom import minidom
+
+    data = tmp_path / "marks.csv"
+    data.write_text("a<b,c&d\n1,1\n1,-1\n-1,1\n-1,-1\n3,4\n")
+    out = tmp_path / "bars.svg"
+    assert (
+        run_cli(
+            "plot", "bars",
+            "--data", data,
+            "--model", json.dumps(PRODUCT_MODEL),
+            "--value-fn", "interventional",
+            "--background", "0:4",
+            "--order", "2",
+            "--points", "4",
+            "--out", out,
+        )
+        == 0
+    )
+    texts = minidom.parse(str(out)).getElementsByTagName("text")
+    labels = [node.firstChild.data for node in texts]
+    assert labels[:2] == ["a<b", "c&d"]
+
+
 def test_plot_bars_directory(product_fixture, tmp_path):
     out_dir = tmp_path / "figs"
     assert (
@@ -580,8 +614,8 @@ def test_plot_dependence_memory_does_not_grow_with_the_points(tmp_path):
     args = [
         "plot", "dependence", "0",
         "--data", data,
-        "--model", json.dumps({"type": "additive", "components": []}),
-        "--value-fn", json.dumps({"type": "gam", "components": components}),
+        "--model", json.dumps({"type": "additive", "components": components}),
+        "--value-fn", json.dumps({"type": "gam"}),
         "--order", "all",
     ]
 
@@ -614,8 +648,8 @@ def test_degree_memory_does_not_grow_with_the_points(tmp_path):
     args = [
         "degree",
         "--data", data,
-        "--model", json.dumps({"type": "additive", "components": []}),
-        "--value-fn", json.dumps({"type": "gam", "components": components}),
+        "--model", json.dumps({"type": "additive", "components": components}),
+        "--value-fn", json.dumps({"type": "gam"}),
     ]
 
     def peak(count):
@@ -687,7 +721,7 @@ def test_external_model_through_cli(product_fixture, tmp_path):
 
 
 def test_gam_value_function_recovers_declared_components(tmp_path):
-    # value_fn "gam" with the same components as the additive model:
+    # value_fn "gam" decomposes the additive model's own components:
     # the full-order record reproduces the declared component values
     data = tmp_path / "pts.csv"
     data.write_text("p,q\n0.5,2.0\n1.5,-1.0\n")
@@ -709,7 +743,7 @@ def test_gam_value_function_recovers_declared_components(tmp_path):
             "gam",
             "--data", data,
             "--model", json.dumps({"type": "additive", "components": components}),
-            "--value-fn", json.dumps({"type": "gam", "components": components}),
+            "--value-fn", json.dumps({"type": "gam"}),
             "--points", "0",
             "--out", out,
         )
@@ -720,6 +754,43 @@ def test_gam_value_function_recovers_declared_components(tmp_path):
     assert gam.value(0b01) == pytest.approx(2 * 0.5, abs=1e-12)
     assert gam.value(0b10) == pytest.approx(0.0, abs=1e-12)
     assert gam.value(0b11) == pytest.approx(0.5 * 2.0, abs=1e-12)
+
+
+def test_gam_value_function_takes_no_components_of_its_own(tmp_path, capsys):
+    data = tmp_path / "pts.csv"
+    data.write_text("p,q\n0.5,2.0\n")
+    components = [{"type": "constant", "value": 3.0}]
+    code = run_cli(
+        "gam",
+        "--data", data,
+        "--model", json.dumps({"type": "additive", "components": components}),
+        "--value-fn", json.dumps({"type": "gam", "components": components}),
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "nshapley: error: value_fn: unknown keys ['components']\n"
+
+
+@pytest.mark.parametrize("kind", ["checkerboard", "knn", "external"])
+def test_gam_value_function_needs_an_additive_model(kind, tmp_path, capsys):
+    data = tmp_path / "pts.csv"
+    data.write_text("p,q,y\n0.25,0.75,0\n0.75,0.25,1\n")
+    started = tmp_path / "started"
+    stub = tmp_path / "stub.py"
+    stub.write_text(f"open({str(started)!r}, 'w').close()\n")
+    model = {
+        "checkerboard": {"type": "checkerboard"},
+        "knn": {"type": "knn", "k": 1, "label": "y"},
+        "external": {"type": "external", "command": f"{sys.executable} {stub}"},
+    }[kind]
+    code = run_cli("explain", "--data", data, "--model", json.dumps(model), "--value-fn", "gam")
+    assert code == 2
+    _one_error_line(
+        capsys,
+        "value_fn: gam decomposes the model's own components; it needs an additive model",
+    )
+    assert not started.exists()
 
 
 def test_knn_model_with_label_column(tmp_path):

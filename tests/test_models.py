@@ -70,7 +70,7 @@ def test_component_validation():
         ProductComponent((1, 0), (PolyFactor((1.0,)), PolyFactor((1.0,))))
     with pytest.raises(ValueError):
         ProductComponent((0,), ())
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         ConstantComponent(1.0, features=(0,))
     with pytest.raises(ValueError):
         ComponentMap(2, [ProductComponent((4,), (PolyFactor((1.0,)),))])
