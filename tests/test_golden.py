@@ -30,8 +30,24 @@ RUNS = {
     "gam.json": ["gam", "--config", "run.json", "--out", "{out}"],
     "degree.json": ["degree", "--config", "run.json", "--out", "{out}"],
     "check.txt": ["check", "--config", "run.json"],
+    "bars_point6_order1.svg": [
+        "plot", "bars", "--config", "run.json", "--points", "6", "--order", "1",
+        "--out", "{out}",
+    ],
+    "bars_point6_order2.svg": [
+        "plot", "bars", "--config", "run.json", "--points", "6", "--order", "2",
+        "--out", "{out}",
+    ],
     "bars_point6_order3.svg": [
         "plot", "bars", "--config", "run.json", "--points", "6", "--order", "3",
+        "--out", "{out}",
+    ],
+    "bars_point6_order4.svg": [
+        "plot", "bars", "--config", "run.json", "--points", "6", "--order", "4",
+        "--out", "{out}",
+    ],
+    "bars_point6_order5.svg": [
+        "plot", "bars", "--config", "run.json", "--points", "6", "--order", "5",
         "--out", "{out}",
     ],
     "dependence_feature2_order2.svg": [
