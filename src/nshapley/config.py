@@ -641,17 +641,29 @@ def run_plot(config: RunConfig, mode: str, feature: int | None) -> list[str]:
 
     Every point is computed before any figure is written, so a failed
     point leaves none. ``dependence`` keeps one (x_f, Phi_f) pair per
-    point and order, not the points' indices.
+    point and order, not the points' indices. An ``out`` ending in
+    ``.svg`` names the one figure of a run that makes one (bars: points
+    x orders, dependence: orders); for more it is an error, raised
+    before any point is computed.
     """
     out = config.out
     if not out:
         raise ConfigError("plot: --out is required")
     if mode not in ("bars", "dependence"):
         raise ConfigError(f"plot: unknown mode {mode!r} (expected bars|dependence)")
+    if mode == "bars" and feature is not None:
+        raise ConfigError(f"plot: bars takes no feature index, got {feature}")
     prepared = _prepare(config)
     dim = prepared.dataset.dim
     if mode == "dependence" and (feature is None or not 0 <= feature < dim):
         raise ConfigError(f"plot: dependence needs a feature index in 0..{dim - 1}, got {feature}")
+    count = len(prepared.orders) * (len(prepared.point_ids) if mode == "bars" else 1)
+    single = out.endswith(".svg")
+    if single and count > 1:
+        raise ConfigError(
+            f"plot: --out {out} names one .svg file, but this run makes {count} figures; "
+            "give a directory"
+        )
     figures: dict = {}  # file stem -> its index (bars), or its pair of each point
     with prepared.model:
         for pid in prepared.point_ids:
@@ -661,7 +673,6 @@ def run_plot(config: RunConfig, mode: str, feature: int | None) -> list[str]:
                 else:
                     stem = f"dependence_feature{feature}_order{index.order}"
                     figures.setdefault(stem, []).append(partial_dependence([index], feature))
-    single = len(figures) == 1 and out.endswith(".svg")
     if not single:
         os.makedirs(out, exist_ok=True)
     written: list[str] = []

@@ -48,6 +48,13 @@ class Dataset:
         return self.rows.shape[0]
 
 
+# Characters XML 1.0 cannot carry, not even as references; a column name
+# holding one could not label a figure.
+_NOT_XML = frozenset(
+    chr(c) for c in (*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE, 0xFFFF)
+)
+
+
 def _utf8_lines(fh, path):
     try:
         yield from fh
@@ -59,10 +66,13 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     """Parse a headed UTF-8 CSV of finite decimal numbers.
 
     The first line names the columns. Parsing uses plain float literals
-    and is locale independent. Ragged rows, non-numeric cells and bytes
-    that are not UTF-8 raise :class:`DatasetError` naming the file (and,
-    for cells, the line and column). When ``label_column`` is given,
-    that column is split out of the feature matrix and exposed as labels.
+    and is locale independent. Ragged rows, non-numeric cells, bytes
+    that are not UTF-8 and column names holding a character XML cannot
+    carry (U+0000-U+0008, U+000B, U+000C, U+000E-U+001F, U+FFFE, U+FFFF)
+    raise :class:`DatasetError` naming the file (and, for cells, the
+    line and column; for names, the column's 1-based position). When
+    ``label_column`` is given, that column is split out of the feature
+    matrix and exposed as labels.
     """
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(_utf8_lines(fh, path))
@@ -71,6 +81,12 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
         except StopIteration:
             raise DatasetError(f"{path}: empty file, expected a header line") from None
         header = [name.strip() for name in header]
+        for position, name in enumerate(header, start=1):
+            if not _NOT_XML.isdisjoint(name):
+                raise DatasetError(
+                    f"{path}: column {position} of the header, {name!r}, holds a "
+                    "control character or noncharacter that XML cannot carry"
+                )
         if len(set(header)) != len(header):
             raise DatasetError(f"{path}: duplicate column names in header")
         label_idx = None

@@ -32,7 +32,6 @@ __all__ = [
     "SubsetTable",
     "popcount",
     "mask_from_indices",
-    "indices_from_mask",
     "subset_key",
     "moebius_transform",
 ]
@@ -53,22 +52,10 @@ def mask_from_indices(indices) -> int:
     return mask
 
 
-def indices_from_mask(mask: int) -> tuple[int, ...]:
-    """Ascending 0-based feature indices of a mask."""
-    out = []
-    i = 0
-    m = int(mask)
-    while m:
-        if m & 1:
-            out.append(i)
-        m >>= 1
-        i += 1
-    return tuple(out)
-
-
 def subset_key(mask: int) -> str:
     """Human/JSON key for a subset: comma-joined ascending indices, e.g. "0,2,3"."""
-    return ",".join(str(i) for i in indices_from_mask(mask))
+    m = int(mask)
+    return ",".join(str(i) for i in range(m.bit_length()) if m >> i & 1)
 
 
 class NonFiniteValue(ValueError):

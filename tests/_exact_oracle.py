@@ -22,8 +22,10 @@ own components.
 
 ``scatter`` and ``entries`` convert between the ``{mask: value}``
 mappings the tests write by hand and an index's dense ``values`` array.
-``reconstruction_gap`` measures how far a stacked-bar figure's
-per-feature totals are from the order-1 attributions of its index.
+``bar_totals`` sums each feature's stacked-bar shares, and
+``reconstruction_gap`` measures how far those totals are from the
+order-1 attributions of the index. ``indices_from_mask`` decodes a
+mask bit by bit, the reference for ``subset_key``.
 ``oracle_record`` and ``oracle_csv`` are the dict-per-record and
 line-per-coalition writers the streamed results writers replaced,
 kept as the reference their bytes must match. ``oracle_request`` is the
@@ -51,8 +53,22 @@ import numpy as np
 from nshapley import _kernels
 from nshapley.core import _bernoulli_floats, _mixing_matrix, delta_all, reduce_order
 from nshapley.exactnum import bernoulli
+from nshapley.figures import bar_stacks
 from nshapley.lattice import MAX_DIM, SubsetTable
 from nshapley.models import ComponentMap, ConstantComponent, LookupComponent
+
+
+def indices_from_mask(mask: int) -> tuple[int, ...]:
+    """Ascending 0-based feature indices of a mask, read off bit by bit."""
+    out = []
+    i = 0
+    m = int(mask)
+    while m:
+        if m & 1:
+            out.append(i)
+        m >>= 1
+        i += 1
+    return tuple(out)
 
 
 def popcount(mask: int) -> int:
@@ -219,10 +235,15 @@ def entries(index) -> dict[int, float]:
     return dict(zip(masks.tolist(), index.values[masks].tolist()))
 
 
-def reconstruction_gap(figure, index) -> float:
-    """Largest |per-feature total - order-1 attribution|; ~0 by construction."""
+def bar_totals(index) -> np.ndarray:
+    """Per feature, the sum of its stacked-bar shares in drawing order."""
+    return np.array([sum(shares.tolist()) for _, _, shares in bar_stacks(index)])
+
+
+def reconstruction_gap(index) -> float:
+    """Largest |per-feature bar total - order-1 attribution|; ~0 by construction."""
     order_one = reduce_order(index, 1)
-    totals = figure.feature_totals()
+    totals = bar_totals(index)
     gap = 0.0
     for i in range(index.dim):
         gap = max(gap, abs(totals[i] - order_one.value(1 << i)))

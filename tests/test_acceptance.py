@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from _exact_oracle import (
+    bar_totals,
     cell_center_grid,
     check_bernoulli_identity,
     check_bernoulli_orthogonality,
@@ -32,7 +33,7 @@ from nshapley.core import (
     shapley_gam,
 )
 from nshapley.exactnum import coeff_c
-from nshapley.figures import stacked_bar_figure
+from nshapley.figures import bar_stacks
 from nshapley.core import InteractionIndex
 from nshapley.lattice import SubsetTable, mask_from_indices, popcount
 from nshapley.models import (
@@ -287,11 +288,11 @@ def test_criterion_10_worked_visualization_examples():
     ]
     for order, interactions in examples:
         index = build(order, interactions)
-        figure = stacked_bar_figure(index)
-        # exact segment layout: one main per feature plus the even splits
+        stacks = bar_stacks(index)
+        # exact layout: one main per feature plus the even splits
         for feat in range(dim):
-            segs = figure.segments[feat]
-            assert segs[0].order == 1 and segs[0].value == mains[feat]
+            orders, _, shares = stacks[feat]
+            assert orders[0] == 1 and shares[0] == mains[feat]
             expected_shares = [
                 v / len(feats)
                 for feats, v in sorted(
@@ -299,18 +300,18 @@ def test_criterion_10_worked_visualization_examples():
                 )
                 if feat in feats
             ]
-            assert [s.value for s in segs[1:]] == expected_shares
+            assert shares[1:].tolist() == expected_shares
         # per-feature totals equal the order-1 reduction
         ones = reduce_order(index, 1)
-        totals = figure.feature_totals()
+        totals = bar_totals(index)
         for i in range(dim):
             assert abs(totals[i] - ones.value(1 << i)) <= 1e-12
     # spot values quoted for the examples
-    fig2 = stacked_bar_figure(build(2, pair_a))
-    assert [s.value for s in fig2.segments[1][1:]] == [0.1 / 2]
-    assert [s.value for s in fig2.segments[2][1:]] == [0.1 / 2]
-    fig4 = stacked_bar_figure(build(3, triple))
-    assert [s.value for s in fig4.segments[3][1:]] == [-0.1 / 2, 0.1 / 3]
+    stacks2 = bar_stacks(build(2, pair_a))
+    assert stacks2[1][2][1:].tolist() == [0.1 / 2]
+    assert stacks2[2][2][1:].tolist() == [0.1 / 2]
+    stacks4 = bar_stacks(build(3, triple))
+    assert stacks4[3][2][1:].tolist() == [-0.1 / 2, 0.1 / 3]
     elapsed = time.perf_counter() - start
     report(10, "worked visualization examples", elapsed)
 

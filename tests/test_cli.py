@@ -504,6 +504,117 @@ def test_plot_bars_escapes_column_names(tmp_path):
     assert labels[:2] == ["a<b", "c&d"]
 
 
+def test_plot_bars_svg_parses_with_odd_legal_column_names(tmp_path):
+    from xml.dom import minidom
+
+    names = ["a<b&c", "x\ty\x7f\ufffd"]
+    data = tmp_path / "odd.csv"
+    data.write_text(",".join(names) + "\n1,1\n1,-1\n-1,1\n-1,-1\n3,4\n", encoding="utf-8")
+    out = tmp_path / "bars.svg"
+    assert (
+        run_cli(
+            "plot", "bars",
+            "--data", data,
+            "--model", json.dumps(PRODUCT_MODEL),
+            "--value-fn", "interventional",
+            "--background", "0:4",
+            "--order", "2",
+            "--points", "4",
+            "--out", out,
+        )
+        == 0
+    )
+    texts = minidom.parse(str(out)).getElementsByTagName("text")
+    assert [node.firstChild.data for node in texts[:2]] == names
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["explain"], ["gam"], ["degree"], ["check"], ["plot", "bars"], ["plot", "dependence", "0"]],
+    ids=["explain", "gam", "degree", "check", "plot-bars", "plot-dependence"],
+)
+def test_a_column_name_xml_cannot_carry_is_a_clean_error(command, tmp_path, capsys):
+    data = tmp_path / "ctrl.csv"
+    data.write_text("a\x01b,c\n1,1\n1,-1\n3,4\n")
+    started = tmp_path / "started"
+    stub = tmp_path / "stub.py"
+    stub.write_text(f"open({str(started)!r}, 'w').close()\n")
+    model = {"type": "external", "command": f"{sys.executable} {stub}"}
+    out = tmp_path / "figs"
+    code = run_cli(
+        *command,
+        "--data", data,
+        "--model", json.dumps(model),
+        "--value-fn", "interventional",
+        "--background", "0:2",
+        "--points", "2",
+        "--out", out,
+    )
+    assert code == 2
+    _one_error_line(capsys, f"{data}: column 1 of the header, 'a\\x01b', holds")
+    assert not started.exists()
+    assert not out.exists()
+
+
+def test_plot_bars_takes_no_feature_index(product_fixture, tmp_path, capsys):
+    # computing a point would try to spawn this missing command
+    model = {"type": "external", "command": str(tmp_path / "no-such-model"), "timeout": 5}
+    out = tmp_path / "figs"
+    code = run_cli(
+        "plot", "bars", "3",
+        "--data", product_fixture,
+        "--model", json.dumps(model),
+        "--value-fn", "interventional",
+        "--background", "0:4",
+        "--points", "4",
+        "--out", out,
+    )
+    assert code == 2
+    _one_error_line(capsys, "nshapley: error: plot: bars takes no feature index, got 3\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "mode, orders, points, count",
+    [
+        (["bars"], "2", "all", 5),
+        (["bars"], "all", "4", 2),
+        (["dependence", "0"], "all", "4", 2),
+    ],
+    ids=["bars-points", "bars-orders", "dependence-orders"],
+)
+def test_one_svg_path_for_many_figures_is_an_error_before_any_point(
+    mode, orders, points, count, product_fixture, tmp_path, capsys
+):
+    # computing a point would try to spawn this missing command
+    model = {"type": "external", "command": str(tmp_path / "no-such-model"), "timeout": 5}
+    out = tmp_path / "many.svg"
+    code = run_cli(
+        "plot", *mode,
+        "--data", product_fixture,
+        "--model", json.dumps(model),
+        "--value-fn", "interventional",
+        "--background", "0:4",
+        "--order", orders,
+        "--points", points,
+        "--out", out,
+    )
+    assert code == 2
+    _one_error_line(
+        capsys,
+        f"plot: --out {out} names one .svg file, but this run makes {count} figures",
+    )
+    assert not out.exists()
+
+
+def test_one_svg_path_for_the_golden_runs_two_points_is_an_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(REPO_ROOT / "tests" / "golden")
+    out = tmp_path / "many.svg"
+    assert run_cli("plot", "bars", "--config", "run.json", "--order", "2", "--out", out) == 2
+    _one_error_line(capsys, "makes 2 figures; give a directory")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_plot_bars_directory(product_fixture, tmp_path):
     out_dir = tmp_path / "figs"
     assert (

@@ -87,3 +87,24 @@ def test_bytes_that_are_not_utf8_name_the_file(tmp_path, raw):
     path.write_bytes(raw)
     with pytest.raises(DatasetError, match=r"data\.csv: not UTF-8 text"):
         load_csv(path)
+
+
+@pytest.mark.parametrize(
+    "char", ["\x00", "\x01", "\x08", "\x0b", "\x0c", "\x0e", "\x1f", "\ufffe", "\uffff"],
+    ids=["nul", "soh", "bs", "vt", "ff", "so", "us", "fffe", "ffff"],
+)
+def test_a_column_name_xml_cannot_carry_is_rejected(tmp_path, char):
+    path = tmp_path / "data.csv"
+    path.write_text(f"ok,a{char}b,y\n1,2,3\n", encoding="utf-8")
+    with pytest.raises(DatasetError) as info:
+        load_csv(path)
+    message = str(info.value)
+    assert message.startswith(f"{path}: column 2 of the header, {'a' + char + 'b'!r}")
+    assert "XML cannot carry" in message
+
+
+def test_odd_but_legal_column_names_are_kept(tmp_path):
+    names = ("a<b&c", "x\ty", "del\x7f", "\ufffd", "\u00e9")
+    path = tmp_path / "data.csv"
+    path.write_text(",".join(names) + "\n1,2,3,4,5\n", encoding="utf-8")
+    assert load_csv(path).columns == names

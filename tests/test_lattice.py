@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nshapley import _kernels
-from _exact_oracle import enumerate_subsets, zeta_transform
+from _exact_oracle import enumerate_subsets, indices_from_mask, zeta_transform
 from nshapley.lattice import (
     SubsetTable,
-    indices_from_mask,
     mask_from_indices,
     moebius_transform,
     popcount,
@@ -34,6 +33,8 @@ def test_mask_helpers():
     assert mask_from_indices([0, 2, 3]) == 0b1101
     assert indices_from_mask(0b1101) == (0, 2, 3)
     assert subset_key(0b1101) == "0,2,3"
+    for mask in range(1 << 10):
+        assert subset_key(mask) == ",".join(map(str, indices_from_mask(mask)))
     assert popcount(0b1101) == 3
     with pytest.raises(ValueError):
         mask_from_indices([-1])
