@@ -607,14 +607,6 @@ def test_one_svg_path_for_many_figures_is_an_error_before_any_point(
     assert not out.exists()
 
 
-def test_one_svg_path_for_the_golden_runs_two_points_is_an_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(REPO_ROOT / "tests" / "golden")
-    out = tmp_path / "many.svg"
-    assert run_cli("plot", "bars", "--config", "run.json", "--order", "2", "--out", out) == 2
-    _one_error_line(capsys, "makes 2 figures; give a directory")
-    assert list(tmp_path.iterdir()) == []
-
-
 def test_plot_bars_directory(product_fixture, tmp_path):
     out_dir = tmp_path / "figs"
     assert (
