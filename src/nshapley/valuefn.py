@@ -20,9 +20,13 @@ are provided:
   data rows whose S columns compare equal (``==``) to x's, so -0.0
   matches 0.0 (discrete data only; when no row matches, that
   conditional is undefined and ``NoMatchingRows`` is raised rather than
-  silently switching semantics mid-table); one mean per closed
-  coalition, at most 2**d of them, plus an O(d * 2**d) integer sweep,
-  and the table is the per-mask definition's to the last bit,
+  silently switching semantics mid-table); an O(d * 2**d) integer
+  sweep finds the closed coalitions, at most 2**d of them, and their
+  match counts, then one packed AND per (closed coalition, feature)
+  gives their row sets and one reduce per distinct match count in a
+  block their means; blocks of at most 2**18 (coalition, row) cells
+  bound the memory, and the table is the per-mask definition's to the
+  last bit,
 * decomposition-induced: cumulative sums of an additive model's own
   components, the canonical value function whose decomposition is
   those components themselves.
@@ -257,13 +261,24 @@ class ObservationalExactMatchValueFunction(ValueFunction):
     The empty coalition yields the global mean of f over the data.
 
     Cost: f is evaluated once per data row, at construction, in calls of
-    at most ``_TARGET_ROWS`` rows. A table takes one mean over the data
-    per closed coalition (one that equals the AND of the agreement masks
-    of the rows it matches), at most 2**d of them, plus an O(d * 2**d)
-    integer sweep that finds each mask's closure. Every entry is the
-    ``np.mean`` of the same rows in the same order as the per-mask
-    definition, so the table is the same to the last bit.
+    at most ``_TARGET_ROWS`` rows. Only closed coalitions (ones that
+    equal the AND of the agreement masks of the rows they match), at
+    most 2**d of them, take a mean. An O(d * 2**d) integer sweep finds
+    each mask's closure and match count. The closed coalitions, sorted
+    by count, are taken in blocks of at most ``_BLOCK_CELLS`` (2**18)
+    (coalition, row) cells: one packed AND per (coalition, feature)
+    gives each one's row set, and one reduce per distinct count in the
+    block gives their means. A block's unpacked row sets take at most
+    256 KiB and its row indices and predictions at most 2 MiB each, or
+    one coalition's when the data has more than 2**18 rows. Each entry
+    is the ``np.mean`` of the same rows in the same order as the
+    per-mask definition, as ``np.mean`` is ``np.add.reduce`` over the
+    size, so the table is the same to the last bit.
     """
+
+    # closed masks are taken in blocks of at most this many (mask, data
+    # row) cells, one mask a block when the data has more rows
+    _BLOCK_CELLS = 1 << 18
 
     def __init__(self, model: PredictFn, data):
         self.model = model
@@ -284,21 +299,64 @@ class ObservationalExactMatchValueFunction(ValueFunction):
         Raises ``NoMatchingRows`` for the lowest mask no row matches.
         """
         x = _as_point(point, self.dim)
+        size = 1 << self.dim
+        n = self.data.shape[0]
+        eq = self.data == x
         # bit j of agree[r] is set iff row r equals x in column j
-        agree = (self.data == x) @ (1 << np.arange(self.dim, dtype=np.int64))
-        # closure[S]: AND of the agreement masks that contain S, -1 if none does
-        closure = np.full(1 << self.dim, -1, dtype=np.int64)
+        agree = eq @ (1 << np.arange(self.dim, dtype=np.int64))
+        # closure[S]: AND of the agreement masks that contain S, -1 if none does;
+        # count[S]: how many rows match S, 0 exactly where closure[S] is -1
+        closure = np.full(size, -1, dtype=np.int64)
         closure[agree] = agree
+        count = np.bincount(agree, minlength=size)
         for i in range(self.dim):
             view = closure.reshape(-1, 2, 1 << i)
             view[:, 0, :] &= view[:, 1, :]
+            view = count.reshape(-1, 2, 1 << i)
+            view[:, 0, :] += view[:, 1, :]
         missing = np.flatnonzero(closure < 0)
         if missing.size:
             raise NoMatchingRows(int(missing[0]))
-        out = np.empty(1 << self.dim)
-        for mask in np.flatnonzero(closure == np.arange(closure.size)):
-            out[mask] = np.mean(self._predictions[(agree & mask) == mask])
+        closed = np.flatnonzero(closure == np.arange(size))
+        closed = closed[np.argsort(count[closed], kind="stable")]
+        # row sets packed into whole 64-bit words, bit r for row r, padding 0:
+        # sets[j] holds the rows that match column j, sets[dim] every row
+        bits = np.zeros((self.dim + 1, -(-n // 64) * 64), dtype=bool)
+        bits[: self.dim, :n] = eq.T
+        bits[self.dim, :n] = True
+        sets = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+        out = np.empty(size)
+        step = max(1, self._BLOCK_CELLS // n)
+        for start in range(0, closed.size, step):
+            masks = closed[start : start + step]
+            self._block_means(masks, count[masks], sets, out)
         return out[closure]
+
+    def _block_means(self, masks, counts, sets, out) -> None:
+        """``out[mask]`` for a block of closed masks sorted by match count.
+
+        ``sets`` are the packed row sets of the columns, then of all rows.
+        A method of its own, so the block's arrays are freed on return:
+        kept until the next block, they raised a 2,000-row run's peak RSS.
+        """
+        n = self._predictions.size
+        held = _mask_bits(masks, self.dim).astype(bool)
+        packed = np.tile(sets[self.dim], (masks.size, 1))
+        for j in range(self.dim):
+            np.bitwise_and(packed, sets[j], out=packed, where=held[:, j, None])
+        matched = np.unpackbits(packed.view(np.uint8), axis=1, count=n, bitorder="little")
+        # the matching rows mask by mask, each mask's in row order
+        hits = np.flatnonzero(matched.view(bool))
+        del matched
+        values = self._predictions[np.remainder(hits, n, out=hits)]
+        # masks sharing a count c hold consecutive runs of c values, and
+        # np.mean of a run is np.add.reduce of it over c, row by row
+        lo = offset = 0
+        for hi in [*(np.flatnonzero(np.diff(counts)) + 1).tolist(), masks.size]:
+            g, c = hi - lo, int(counts[lo])
+            block = values[offset : offset + g * c].reshape(g, c)
+            out[masks[lo:hi]] = np.add.reduce(block, axis=1) / c
+            lo, offset = hi, offset + g * c
 
 
 # ---------------------------------------------------------------------------

@@ -599,3 +599,105 @@ def test_observational_matching_compares_values_so_signed_zeros_agree():
         # -0.0 == 0.0, so both signed-zero rows match on feature 0
         assert vf.batch_evaluate(x).tolist() == [1 / 3, 1 / 3, 0.0, 0.0]
         assert observational_exactmatch_value(model, data, x, 0b11) == 0.0
+
+
+def same_bits(table, expected) -> bool:
+    return np.array_equal(
+        np.asarray(table).view(np.uint64), np.array(expected, dtype=np.float64).view(np.uint64)
+    )
+
+
+def test_a_row_reduce_over_the_count_is_np_mean_bit_for_bit():
+    # the observational table takes np.mean of each closed mask's values
+    # as one axis-1 reduce per count; a numpy whose loop differs fails here
+    rng = np.random.default_rng(51)
+    for c in range(1, 301):
+        for g in (1, 2, 5, 33):
+            block = rng.normal(size=(g, c)) * 10.0 ** rng.integers(-12, 13, size=(g, c))
+            block[rng.random((g, c)) < 0.2] = 0.0
+            block[rng.random((g, c)) < 0.2] = -0.0
+            if g > 1:
+                block[0] = -0.0
+            expected = np.array([np.mean(row) for row in block])
+            assert same_bits(np.add.reduce(block, axis=1) / c, expected), (c, g)
+
+
+def closed_counts(data, x):
+    """Matching-row counts of the closed masks, in increasing order."""
+    agree = (data == x) @ (1 << np.arange(data.shape[1]))
+    counts = []
+    for mask in range(1 << data.shape[1]):
+        rows = agree[(agree & mask) == mask]
+        if rows.size and np.bitwise_and.reduce(rows) == mask:
+            counts.append(rows.size)
+    return sorted(counts)
+
+
+@pytest.mark.parametrize("rest", range(1, 8))
+def test_observational_table_with_rows_not_a_multiple_of_eight(rest):
+    dim = 6
+    rng = np.random.default_rng(300 + rest)
+    model = SignedWavy(dim, rng)
+    for n in (rest, 40 + rest, 64 + rest):
+        data = signed_zeros(rng.integers(0, 2, size=(n, dim)).astype(np.float64), rng)
+        vf = ObservationalExactMatchValueFunction(model, data)
+        for x in data[:3]:
+            assert same_bits(vf.batch_evaluate(x), oracle_table(model, data, x, range(1 << dim)))
+
+
+@pytest.mark.parametrize("masks_a_block", [1, 3, 40])
+def test_observational_table_over_many_blocks(monkeypatch, masks_a_block):
+    dim, n = 8, 90
+    rng = np.random.default_rng(400 + masks_a_block)
+    model = SignedWavy(dim, rng)
+    data = signed_zeros(rng.integers(0, 2, size=(n, dim)).astype(np.float64), rng)
+    monkeypatch.setattr(ObservationalExactMatchValueFunction, "_BLOCK_CELLS", masks_a_block * n)
+    vf = ObservationalExactMatchValueFunction(model, data)
+    for x in data[:2]:
+        assert len(closed_counts(data, x)) > 2 * masks_a_block
+        assert same_bits(vf.batch_evaluate(x), oracle_table(model, data, x, range(1 << dim)))
+
+
+def test_observational_table_with_a_count_run_split_across_blocks(monkeypatch):
+    dim, n = 7, 50
+    rng = np.random.default_rng(450)
+    model = SignedWavy(dim, rng)
+    data = rng.integers(0, 2, size=(n, dim)).astype(np.float64)
+    x = data[0]
+    counts = closed_counts(data, x)
+    # the smallest block size whose first boundary falls inside a run of one count
+    step = next(s for s in range(2, len(counts)) if counts[s - 1] == counts[s])
+    monkeypatch.setattr(ObservationalExactMatchValueFunction, "_BLOCK_CELLS", step * n)
+    vf = ObservationalExactMatchValueFunction(model, data)
+    assert same_bits(vf.batch_evaluate(x), oracle_table(model, data, x, range(1 << dim)))
+
+
+def test_observational_table_with_counts_above_128():
+    dim, n = 5, 700
+    rng = np.random.default_rng(460)
+    model = SignedWavy(dim, rng)
+    data = signed_zeros(rng.integers(0, 2, size=(n, dim)).astype(np.float64), rng)
+    vf = ObservationalExactMatchValueFunction(model, data)
+    for x in data[:3]:
+        counts = closed_counts(data, x)
+        assert sum(c > 136 for c in counts) > 5 and counts[-1] == n
+        assert same_bits(vf.batch_evaluate(x), oracle_table(model, data, x, range(1 << dim)))
+
+
+def test_observational_table_memory_at_d12_on_50000_rows():
+    import tracemalloc
+
+    dim = 12
+    rng = np.random.default_rng(470)
+    model = SignedWavy(dim, rng)
+    data = rng.integers(0, 2, size=(50_000, dim)).astype(np.float64)
+    vf = ObservationalExactMatchValueFunction(model, data)
+    tracemalloc.start()
+    try:
+        table = vf.batch_evaluate(data[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    masks = [0, 1, 0b101, (1 << dim) - 1, *rng.integers(0, 1 << dim, size=8).tolist()]
+    assert same_bits(table[masks], oracle_table(model, data, data[0], masks))
