@@ -367,27 +367,10 @@ class KnnModel(PredictFn):
         rows = max(1, (1 << 20) // max(1, self.train.size))
         for start in range(0, pts.shape[0], rows):
             block = pts[start : start + rows]
-            diff = block[:, None, :] - self.train[None, :, :]
-            d2 = np.square(diff, out=diff).sum(axis=2)
-            out[start : start + block.shape[0]] = self.labels[self._nearest(d2)].mean(axis=1)
+            d2 = ((block[:, None, :] - self.train[None, :, :]) ** 2).sum(axis=2)
+            nearest = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
+            out[start : start + block.shape[0]] = self.labels[nearest].mean(axis=1)
         return out
-
-    def _nearest(self, d2: np.ndarray) -> np.ndarray:
-        """Each row's k nearest training rows, by (distance, index).
-
-        These are the first k of a stable full sort. A partial selection
-        finds them; only rows with a tie at the k-th distance, where the
-        selection may pick the wrong tied rows, are sorted in full.
-        """
-        k = self.k
-        part = np.sort(np.argpartition(d2, k - 1, axis=1)[:, :k], axis=1)
-        near = np.take_along_axis(d2, part, axis=1)
-        order = np.argsort(near, axis=1, kind="stable")
-        nearest = np.take_along_axis(part, order, axis=1)
-        kth = np.take_along_axis(near, order[:, -1:], axis=1)
-        tied = np.flatnonzero(np.count_nonzero(d2 <= kth, axis=1) != k)
-        nearest[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
-        return nearest
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,6 @@ package's cumulative-sum kernel as the inverse of ``moebius_transform``.
 ``gam_induced_value`` compute v(x, S) for one coalition at a time, with
 numpy and the model (or declared components) only; they are the
 references the dense value tables are checked against.
-``knn_sorted_predictions`` takes each query's k nearest training rows
-from a stable sort of all its distances, as ``KnnModel`` did before it
-selected them partially; its predictions must match ``KnnModel``'s bytes.
 
 ``cell_center_grid`` and ``fit_additive_marginal_means`` build test
 inputs; the latter assembles its additive model from the package's
@@ -307,14 +304,6 @@ def observational_exactmatch_value(model, data, point, subset: int) -> float | N
     if not match.any():
         return None
     return float(np.mean(np.asarray(model.predict_batch(rows))[match]))
-
-
-def knn_sorted_predictions(model, points) -> np.ndarray:
-    """``KnnModel`` predictions from a stable full sort of each query's distances."""
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, model.dim)
-    d2 = ((pts[:, None, :] - model.train[None, :, :]) ** 2).sum(axis=2)
-    nearest = np.argsort(d2, axis=1, kind="stable")[:, : model.k]
-    return model.labels[nearest].mean(axis=1)
 
 
 def gam_induced_value(components, point, subset: int) -> float:

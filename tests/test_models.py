@@ -2,14 +2,8 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from _exact_oracle import (
-    cell_center_grid,
-    entries,
-    fit_additive_marginal_means,
-    knn_sorted_predictions,
-)
+from _exact_oracle import cell_center_grid, entries, fit_additive_marginal_means
 from nshapley.core import shapley_gam
 from nshapley.lattice import popcount
 from nshapley.models import (
@@ -243,33 +237,6 @@ def test_knn_memory_does_not_grow_with_the_batch():
     assert peak < 32 * 2**20  # 2048-query blocks took 531 MB
     one_row_blocks = np.concatenate([model.predict_batch(q[None, :]) for q in queries])
     assert batch.tobytes() == one_row_blocks.tobytes()
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n=st.integers(1, 60),
-    dim=st.integers(1, 4),
-    levels=st.integers(1, 3),
-    k_share=st.floats(0.0, 1.0),
-)
-def test_knn_partial_selection_matches_the_stable_sort_on_tied_data(seed, n, dim, levels, k_share):
-    # few levels per column: most distances tie, often at the k-th
-    rng = np.random.default_rng(seed)
-    train = rng.integers(0, levels, size=(n, dim)).astype(np.float64)
-    train = np.where((train == 0) & (rng.random(train.shape) < 0.5), -0.0, train)
-    labels = rng.normal(size=n) * 1e3
-    k = 1 + int(k_share * (n - 1))
-    model = KnnModel(train, labels, k)
-    queries = np.concatenate([train, rng.integers(-1, levels + 1, size=(20, dim)) * 1.0])
-    assert model.predict_batch(queries).tobytes() == knn_sorted_predictions(model, queries).tobytes()
-
-
-def test_knn_partial_selection_matches_the_stable_sort_on_continuous_data():
-    rng = np.random.default_rng(33)
-    model = KnnModel(rng.normal(size=(500, 6)), rng.normal(size=500), 7)
-    queries = np.concatenate([rng.normal(size=(300, 6)), model.train[:50]])
-    assert model.predict_batch(queries).tobytes() == knn_sorted_predictions(model, queries).tobytes()
 
 
 def test_models_are_deterministic():
