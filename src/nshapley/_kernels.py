@@ -26,14 +26,14 @@ __all__ = [
 
 @lru_cache(maxsize=1)
 def popcount_table(dim: int) -> np.ndarray:
-    """Bit-count of every mask below 2**dim, as a read-only int64 array.
+    """Bit-count of every mask below 2**dim, as a read-only uint8 array.
 
     The last dimension's table is kept and returned to every later call
     of that dimension. Its prefix ``[: 1 << f]`` is the table of any
     f <= dim, so code that needs a smaller one slices it rather than
     calling again with f.
     """
-    out = np.bitwise_count(np.arange(1 << dim, dtype=np.uint32)).astype(np.int64)
+    out = np.bitwise_count(np.arange(1 << dim, dtype=np.uint32))
     out.flags.writeable = False
     return out
 
@@ -58,7 +58,7 @@ def spread_by_size(masks: np.ndarray, size: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Lattice sweeps. out length is 2**dim; the sweep order over bits 0..dim-1 is
-# fixed so results are reproducible across runs and thread counts.
+# fixed so results are reproducible across runs.
 # ---------------------------------------------------------------------------
 
 
@@ -108,6 +108,7 @@ def delta_weighted(values: np.ndarray, dim: int, weights: np.ndarray) -> np.ndar
         masks = np.flatnonzero(pc == s)
         subs = spread_by_size(masks, s)
         comps = spread_by_size(full ^ masks, dim - s)
+        # pc is uint8 and pc[: 1 << s] <= s, so the difference stays non-negative
         signs = np.where((s - pc[: 1 << s]) % 2 == 0, 1.0, -1.0)
         wcol = weights[s, pc[: 1 << (dim - s)]]
         for mask, sub, comp in zip(masks.tolist(), subs, comps):

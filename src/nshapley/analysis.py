@@ -48,6 +48,41 @@ class DegreeReport:
         object.__setattr__(self, "per_point", frozen(self.per_point))
         object.__setattr__(self, "order_mass_share", frozen(self.order_mass_share))
         object.__setattr__(self, "quantiles", MappingProxyType(dict(self.quantiles)))
+        numbers = [self.per_point, self.order_mass_share, self.mean_degree, self.pooled_degree]
+        if not all(np.isfinite(v).all() for v in [*numbers, *self.quantiles.values()]):
+            raise ValueError("a degree report holds finite numbers only")
+
+
+def _order_masses(values: np.ndarray, pc: np.ndarray, orders: np.ndarray):
+    """The sums of |f_S| by order as ``(masses, e)``, the true sums being masses * 2**e.
+
+    ``e`` is 0 unless the order-weighted total would overflow. The
+    weights are then scaled by 2**-e, with e = d + the bit length of d,
+    which keeps that total of 2**d entries below the largest float. The
+    degree and the shares are ratios, so the scale does not change them.
+    """
+    weights = np.abs(values)
+    masses = np.bincount(pc, weights=weights, minlength=orders.size)
+    with np.errstate(over="ignore"):
+        if np.isfinite((orders * masses).sum()):
+            return masses, 0
+    e = orders.size - 1 + (orders.size - 1).bit_length()
+    return np.bincount(pc, weights=np.ldexp(weights, -e), minlength=orders.size), e
+
+
+def _pool(a: np.ndarray, ea: int, b: np.ndarray, eb: int, orders: np.ndarray):
+    """a * 2**ea + b * 2**eb as ``(masses, e)``.
+
+    ``e`` is the larger exponent, raised by 2 when the order-weighted
+    total of the sum would overflow; a and b each have a finite one.
+    """
+    e = max(ea, eb)
+    with np.errstate(over="ignore"):
+        pooled = np.ldexp(a, ea - e) + np.ldexp(b, eb - e)
+        if not np.isfinite((orders * pooled).sum()):
+            e += 2
+            pooled = np.ldexp(a, ea - e) + np.ldexp(b, eb - e)
+    return pooled, e
 
 
 def interaction_degree(gams: Iterable[ShapleyGam]) -> DegreeReport:
@@ -56,6 +91,8 @@ def interaction_degree(gams: Iterable[ShapleyGam]) -> DegreeReport:
     ``gams`` may be any iterable, a generator included: each
     decomposition is folded into d+1 masses by order as it arrives and
     is not kept, so memory does not grow with the number of points.
+    Masses whose sums would overflow are summed at an exact power-of-two
+    scale, so a finite decomposition always has a finite degree.
     """
     dim = None
     per_point = []
@@ -63,16 +100,16 @@ def interaction_degree(gams: Iterable[ShapleyGam]) -> DegreeReport:
         if dim is None:
             dim = gam.dim
             pc = _kernels.popcount_table(dim)
-            pooled_by_order = np.zeros(dim + 1)
+            orders = np.arange(dim + 1)
+            pooled_by_order, pooled_e = np.zeros(dim + 1), 0
         elif gam.dim != dim:
             raise ValueError("all decompositions must share one dimension")
-        mass_by_order = np.bincount(pc, weights=np.abs(gam.values), minlength=dim + 1)
-        pooled_by_order += mass_by_order
+        mass_by_order, e = _order_masses(gam.values, pc, orders)
+        pooled_by_order, pooled_e = _pool(pooled_by_order, pooled_e, mass_by_order, e, orders)
         total = mass_by_order.sum()
         if total == 0.0:
             per_point.append(0.0)
         else:
-            orders = np.arange(dim + 1)
             per_point.append(float((orders * mass_by_order).sum() / total))
     if dim is None:
         raise ValueError("need at least one decomposition")
@@ -82,7 +119,7 @@ def interaction_degree(gams: Iterable[ShapleyGam]) -> DegreeReport:
         pooled_degree = 0.0
         shares = np.zeros(dim + 1)
     else:
-        pooled_degree = float((np.arange(dim + 1) * pooled_by_order).sum() / pooled_total)
+        pooled_degree = float((orders * pooled_by_order).sum() / pooled_total)
         shares = pooled_by_order / pooled_total
     qs = np.quantile(per_point, [0.0, 0.25, 0.5, 0.75, 1.0])
     quantiles = {

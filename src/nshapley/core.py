@@ -26,13 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, isfinite
 
 import numpy as np
 
 from . import _kernels
 from .exactnum import bernoulli, coeff_c
-from .lattice import checked_table, frozen, popcount, subset_key
+from .lattice import checked_point, checked_table, frozen, popcount, subset_key
 from .valuefn import ValueTable
 
 __all__ = [
@@ -66,6 +66,9 @@ class InteractionIndex:
     v(full set). ``provenance`` records which computation route
     produced the numbers ("direct" for the contribution-measure route
     and the plain inversion, "from-gam" for the coefficient route).
+    Construction checks everything a results record promises: a finite
+    table, nothing outside orders 1..order, a finite baseline and point,
+    and a known provenance; the writers in ``serialize`` rely on it.
     In results files each coalition is keyed by its canonical
     ``subset_key`` (see ``serialize``). Equality is identity; compare
     numbers with ``np.array_equal(a.values, b.values)``.
@@ -86,10 +89,15 @@ class InteractionIndex:
         stray = np.flatnonzero(((pc == 0) | (pc > self.order)) & (values != 0.0))
         if stray.size:
             raise ValueError(f"subset {subset_key(int(stray[0]))!r} is out of range")
+        baseline = float(self.baseline)
+        if not isfinite(baseline):
+            raise ValueError(f"baseline is not finite ({baseline!r})")
+        if self.provenance not in (PROVENANCE_DIRECT, PROVENANCE_FROM_GAM):
+            raise ValueError(f"unknown provenance {self.provenance!r}")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "baseline", float(self.baseline))
+        object.__setattr__(self, "baseline", baseline)
         if self.point is not None:
-            object.__setattr__(self, "point", frozen(self.point, (self.dim,), "point"))
+            object.__setattr__(self, "point", checked_point(self.dim, self.point))
 
     def masks(self) -> np.ndarray:
         """The covered coalitions (1 <= |S| <= order), ascending."""
@@ -232,12 +240,12 @@ def reduce_order(phi: InteractionIndex, order: int) -> InteractionIndex:
     d = phi.dim
     pc = _kernels.popcount_table(d)
     bern = _bernoulli_floats(d)
+    masks = [np.flatnonzero(pc == s) for s in range(phi.order)]
     cur = phi.values.copy()
     for q in range(phi.order, order, -1):
         super_sums = _layer_supersets(cur, pc, q, d)
         for s in range(1, q):
-            masks = np.flatnonzero(pc == s)
-            cur[masks] -= bern[q - s] * super_sums[masks]
+            cur[masks[s]] -= bern[q - s] * super_sums[masks[s]]
         cur[pc == q] = 0.0
     return InteractionIndex(
         dim=d,

@@ -12,8 +12,7 @@ the engine runs it as the kernel ``_kernels.moebius_subsets``. Its
 inverse, the cumulative subset sum, is the kernel
 ``_kernels.zeta_subsets``. Both run in O(d * 2**d) using an in-place
 sweep over bit positions 0..d-1. The sweep order is fixed, so results
-are bit-identical across runs regardless of how many tables are
-processed in parallel. ``moebius_transform`` wraps the kernel for a
+are bit-identical across runs. ``moebius_transform`` wraps the kernel for a
 ``SubsetTable``; it is a helper for tests and benchmarks, not a step of
 the engine.
 """
@@ -87,6 +86,14 @@ def checked_table(dim: int, values) -> np.ndarray:
     if not finite.all():
         lowest = int(np.argmin(finite))
         raise NonFiniteValue(lowest, float(out[lowest]))
+    return out
+
+
+def checked_point(dim: int, point) -> np.ndarray:
+    """The frozen copy of an explained point of ``dim`` coordinates, all finite."""
+    out = frozen(point, (dim,), "point")
+    if not np.isfinite(out).all():
+        raise ValueError("point coordinates must be finite")
     return out
 
 

@@ -233,8 +233,7 @@ class ComponentMap(PredictFn):
     """The additive model f(x) = sum over subsets S of g_S(x_S).
 
     Multiple components on the same subset simply add; the empty map is
-    identically 0. The map is immutable once built and safe to evaluate
-    concurrently.
+    identically 0. The map's components are fixed once it is built.
     """
 
     def __init__(self, dim: int, components):

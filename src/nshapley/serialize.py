@@ -26,8 +26,10 @@ a chunk, and a value whose bits equal the previous record's value at
 the same mask reuses that record's text: the orders of one point share
 most of their values. Entries are assembled with ``np.strings.add`` and
 joined once per chunk. ``emit_records`` writes exactly the bytes of
-``json.dumps(records, indent=2, allow_nan=False) + "\\n"``, and both
-writers and ``record_to_index`` reject a non-finite baseline or point.
+``json.dumps(records, indent=2, allow_nan=False) + "\\n"``. What a
+record promises (finite numbers, a known provenance) is checked once,
+by the ``InteractionIndex`` constructor, which ``record_to_index`` also
+builds through.
 ``results_file`` gives the handle through which a results file is
 written whole or not at all.
 """
@@ -45,7 +47,7 @@ from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .core import PROVENANCE_DIRECT, PROVENANCE_FROM_GAM, InteractionIndex, ShapleyGam
+from .core import PROVENANCE_DIRECT, InteractionIndex, ShapleyGam
 from .lattice import MAX_DIM
 
 __all__ = [
@@ -98,14 +100,6 @@ def subset_keys(dim: int, order: int) -> tuple[np.ndarray, np.ndarray]:
 _CHUNK = 8192
 # The longest float repr, '-2.2250738585072014e-308', has 24 characters.
 _TEXT = "S24"
-
-
-def _finite(value: float, field: str) -> float:
-    if not math.isfinite(value):
-        raise ValueError(
-            f"record {field} is not finite ({value!r}); results hold finite numbers only"
-        )
-    return value
 
 
 def _repr_floats(values: np.ndarray) -> list[str]:
@@ -175,11 +169,11 @@ def _emit_record(index: InteractionIndex, entries: _Entries, fh: TextIO) -> None
     if index.point is None:
         point = "null"
     else:
-        items = ",\n".join("      " + repr(_finite(v, "point")) for v in index.point.tolist())
+        items = ",\n".join("      " + repr(v) for v in index.point.tolist())
         point = "[\n" + items + "\n    ]"
     fh.write(
         f'  {{\n    "dim": {index.dim},\n    "order": {index.order},\n'
-        f'    "baseline": {_finite(index.baseline, "baseline")!r},\n    "point": {point},\n'
+        f'    "baseline": {index.baseline!r},\n    "point": {point},\n'
         f'    "provenance": {json.dumps(index.provenance)},\n    "values": {{\n'
     )
     _write_entries(fh, entries.chunks(index), b'      "', b'": ', b",\n")
@@ -187,11 +181,7 @@ def _emit_record(index: InteractionIndex, entries: _Entries, fh: TextIO) -> None
 
 
 def emit_records(indices: Iterable[InteractionIndex], fh: TextIO) -> None:
-    """Write the JSON array of ``indices``' records to ``fh``, one record at a time.
-
-    A non-finite baseline or point raises ``ValueError``, as
-    ``json.dumps(..., allow_nan=False)`` does.
-    """
+    """Write the JSON array of ``indices``' records to ``fh``, one record at a time."""
     entries = _Entries()
     separator = "[\n"
     for index in indices:
@@ -211,9 +201,6 @@ def record_to_index(record: dict) -> InteractionIndex:
         raise ValueError(
             f"record needs 1 <= order <= dim <= {MAX_DIM}, got order={order}, dim={dim}"
         )
-    provenance = record.get("provenance", PROVENANCE_DIRECT)
-    if provenance not in (PROVENANCE_DIRECT, PROVENANCE_FROM_GAM):
-        raise ValueError(f"unknown provenance {provenance!r}")
     covered, keys = subset_keys(dim, order)
     mask_of = dict(zip(keys.astype(str).tolist(), covered.tolist()))
     mask_of[""] = 0  # the empty set's key: canonical, but no record holds it
@@ -231,20 +218,14 @@ def record_to_index(record: dict) -> InteractionIndex:
         )
     values = np.zeros(1 << dim)
     values[masks] = [float(val) for val in record["values"].values()]
-    point = record.get("point")
-    if point is not None:
-        point = np.asarray(point, dtype=np.float64)
-        bad = point[~np.isfinite(point)]
-        if bad.size:
-            _finite(float(bad[0]), "point")
     cls = ShapleyGam if order == dim else InteractionIndex
     return cls(
         dim=dim,
         order=order,
-        baseline=_finite(float(record["baseline"]), "baseline"),
+        baseline=record["baseline"],
         values=values,
-        point=point,
-        provenance=provenance,
+        point=record.get("point"),
+        provenance=record.get("provenance", PROVENANCE_DIRECT),
     )
 
 
@@ -283,13 +264,13 @@ def emit_csv(labelled: Iterable[tuple[int, InteractionIndex]], fh: TextIO) -> No
     """Write ``(point, index)`` pairs as the flat ``point,order,set,value`` table.
 
     Each index gives one line for its baseline (set ``""``) and one per
-    covered coalition. A non-finite baseline raises ``ValueError``.
+    covered coalition.
     """
     entries = _Entries()
     fh.write("point,order,set,value\n")
     for point_id, index in labelled:
         head = f'{point_id},{index.order},"'
-        fh.write(f'{head}",{_finite(index.baseline, "baseline")!r}\n')
+        fh.write(f'{head}",{index.baseline!r}\n')
         _write_entries(fh, entries.chunks(index), head.encode("ascii"), b'",', b"\n")
         fh.write("\n")
 

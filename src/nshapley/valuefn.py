@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .lattice import MAX_DIM, NonFiniteValue, SubsetTable, frozen, subset_key
+from .lattice import MAX_DIM, NonFiniteValue, SubsetTable, checked_point, frozen, subset_key
 from .models import ComponentMap, PredictFn
 
 __all__ = [
@@ -59,12 +59,9 @@ __all__ = [
 class NoMatchingRows(LookupError):
     """No data row agrees with the explained point on the requested subset."""
 
-    def __init__(self, subset: int, detail: str = ""):
+    def __init__(self, subset: int):
         self.subset = int(subset)
-        msg = f"no rows match the explained point on subset {{{subset_key(subset)}}}"
-        if detail:
-            msg = f"{msg}: {detail}"
-        super().__init__(msg)
+        super().__init__(f"no rows match the explained point on subset {{{subset_key(subset)}}}")
 
 
 def as_background(rows, dim: int) -> np.ndarray:
@@ -76,13 +73,6 @@ def as_background(rows, dim: int) -> np.ndarray:
         raise ValueError(f"background has {arr.shape[1]} columns, expected {dim}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("background entries must be finite")
-    return arr
-
-
-def _as_point(point, dim: int) -> np.ndarray:
-    arr = frozen(point, (dim,), "point")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("point coordinates must be finite")
     return arr
 
 
@@ -98,7 +88,7 @@ class ValueTable:
     point: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "point", _as_point(self.point, self.table.dim))
+        object.__setattr__(self, "point", checked_point(self.table.dim, self.point))
 
     @property
     def dim(self) -> int:
@@ -126,14 +116,14 @@ def build_value_table(value_fn: ValueFunction, point) -> ValueTable:
     """Evaluate every coalition for one point and freeze the dense table.
 
     Entries are always produced with the same per-entry summation order,
-    so the result does not depend on batching or parallel scheduling.
+    so the result does not depend on batching.
     ``NoMatchingRows`` from the observational semantics propagates with
     the offending subset attached; a NaN or infinite entry raises
     ``NonFiniteValue`` naming the lowest such subset.
     """
     if value_fn.dim > MAX_DIM:
         raise ValueError(f"dim {value_fn.dim} exceeds the hard cap of {MAX_DIM}")
-    x = _as_point(point, value_fn.dim)
+    x = checked_point(value_fn.dim, point)
     return ValueTable(SubsetTable(value_fn.dim, value_fn.batch_evaluate(x)), x)
 
 
@@ -196,7 +186,7 @@ class InterventionalValueFunction(ValueFunction):
         ).reshape(-1, self.dim)
 
     def batch_evaluate(self, point) -> np.ndarray:
-        x = _as_point(point, self.dim)
+        x = checked_point(self.dim, point)
         size = 1 << self.dim
         n_bg = self.background.shape[0]
         model = self.model
@@ -298,7 +288,7 @@ class ObservationalExactMatchValueFunction(ValueFunction):
 
         Raises ``NoMatchingRows`` for the lowest mask no row matches.
         """
-        x = _as_point(point, self.dim)
+        x = checked_point(self.dim, point)
         size = 1 << self.dim
         n = self.data.shape[0]
         eq = self.data == x
@@ -377,6 +367,6 @@ class GamInducedValueFunction(ValueFunction):
         self.dim = components.dim
 
     def batch_evaluate(self, point) -> np.ndarray:
-        x = _as_point(point, self.dim)
+        x = checked_point(self.dim, point)
         table = self.components.component_table(x)
         return _kernels.zeta_subsets(table, self.dim)

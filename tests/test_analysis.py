@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from _exact_oracle import cell_center_grid, entries, scatter
-from nshapley.analysis import interaction_degree, partial_dependence
+from nshapley import _kernels
+from nshapley.analysis import DegreeReport, interaction_degree, partial_dependence
 from nshapley.core import ShapleyGam, n_shapley_from_gam, shapley_gam
 from nshapley.lattice import SubsetTable
 from nshapley.models import (
@@ -122,6 +123,61 @@ def test_degree_matches_the_per_mask_loop():
     report = interaction_degree(gams)
     assert report.per_point.tolist() == per_point
     assert report.order_mass_share.tolist() == (pooled / pooled.sum()).tolist()
+
+
+def _scaled(gam, exponent):
+    values = np.ldexp(gam.values, exponent)
+    return ShapleyGam(dim=gam.dim, order=gam.order, baseline=0.0, values=values)
+
+
+def _weighted_mass(gams):
+    """The plain sum of |S| * |f_S| over the points' components, overflow and all."""
+    with np.errstate(over="ignore"):
+        return sum((_kernels.popcount_table(g.dim) * np.abs(g.values)).sum() for g in gams)
+
+
+@pytest.mark.parametrize("case", ["per-point", "pooled"])
+def test_masses_that_overflow_give_the_degree_of_the_scaled_down_masses(case):
+    dim = 5
+    if case == "per-point":  # one point's sum overflows
+        values = np.random.default_rng(4).uniform(0.5, 1.0, 1 << dim)
+        small = [gam_from_components(dim, dict(enumerate(values)))]
+        huge = [_scaled(gam, 1020) for gam in small]
+        assert not np.isfinite(_weighted_mass(huge))
+    else:  # each point's sums are finite; only their pool overflows
+        small = [gam_from_components(dim, {1: 1.0, 3: 1.0}), gam_from_components(dim, {1: 1.0})]
+        huge = [_scaled(gam, 1022) for gam in small]
+        assert all(np.isfinite(_weighted_mass([gam])) for gam in huge)
+        assert not np.isfinite(_weighted_mass(huge))
+    # powers of two scale every sum exactly, so the two reports agree bit for bit
+    report = interaction_degree(huge)
+    expected = interaction_degree(small)
+    assert report.per_point.tobytes() == expected.per_point.tobytes()
+    assert report.pooled_degree == expected.pooled_degree
+    assert report.order_mass_share.tobytes() == expected.order_mass_share.tobytes()
+    assert dict(report.quantiles) == dict(expected.quantiles)
+    if case == "pooled":
+        assert report.pooled_degree == 4 / 3
+
+
+@pytest.mark.parametrize("field", ["per_point", "mean_degree", "pooled_degree", "quantiles", "shares"])
+def test_a_degree_report_holds_finite_numbers_only(field):
+    report = {
+        "per_point": [1.0],
+        "mean_degree": 1.0,
+        "pooled_degree": 1.0,
+        "quantiles": {"min": 1.0},
+        "order_mass_share": [0.0, 1.0],
+    }
+    bad = float("nan")
+    if field == "quantiles":
+        report["quantiles"] = {"min": bad}
+    elif field == "shares":
+        report["order_mass_share"] = [0.0, bad]
+    else:
+        report[field] = [bad] if field == "per_point" else bad
+    with pytest.raises(ValueError, match="finite"):
+        DegreeReport(**report)
 
 
 def test_degree_input_validation():

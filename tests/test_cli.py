@@ -1127,6 +1127,60 @@ def test_an_overflowing_decomposition_is_one_clean_error_line(command, tmp_path)
     assert list(results.iterdir()) == []
 
 
+def _poly_term(features, *coeffs):
+    factors = [{"kind": "poly", "coeffs": list(c)} for c in coeffs]
+    return {"type": "term", "features": features, "factors": factors}
+
+
+# finite components whose order-weighted mass sums overflow: per point
+# (f_{0} = 1e308, f_{1} = -1e308 at row 1), or only pooled over rows 1
+# and 2 (masses 5e307 + 5e307 at order 1 and 5e307 at order 2)
+DEGREE_OVERFLOWS = {
+    "per-point": (
+        "a,b\n0,0\n1,1\n",
+        [_poly_term([0], [0, 1e308]), _poly_term([1], [0, -1e308])],
+        "1",
+        {"1": 1.0},
+        1.0,
+        [0.0, 1.0, 0.0],
+    ),
+    "pooled": (
+        "a,b\n0,0\n1,1\n1,0\n",
+        [_poly_term([0], [0, 5e307]), _poly_term([0, 1], [0, 5e307], [0, 1])],
+        "1,2",
+        {"1": 1.5, "2": 1.0},
+        4 / 3,
+        [0.0, 2 / 3, 1 / 3],
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("case", sorted(DEGREE_OVERFLOWS))
+def test_degree_of_components_whose_masses_overflow(case, fmt, tmp_path):
+    text, components, points, per_point, pooled, shares = DEGREE_OVERFLOWS[case]
+    data = tmp_path / "data.csv"
+    data.write_text(text)
+    proc = run_module(
+        "degree",
+        "--data", data,
+        "--model", json.dumps({"type": "additive", "components": components}),
+        "--value-fn", "interventional",
+        "--background", "0:1",
+        "--points", points,
+        "--format", fmt,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    if fmt == "csv":
+        lines = [f"{pid},{deg!r}" for pid, deg in per_point.items()]
+        assert proc.stdout == "\n".join(["point,degree", *lines]) + "\n"
+        return
+    report = json.loads(proc.stdout)
+    assert report["per_point"] == per_point
+    assert report["pooled_degree"] == pooled
+    assert report["order_mass_share"] == pytest.approx(shares, rel=1e-15)
+
+
 @pytest.mark.parametrize("where", ["config-int", "config-list", "directory", "missing-directory"])
 def test_results_file_errors_are_clean(where, product_fixture, tmp_path, monkeypatch, capsys):
     from nshapley import config

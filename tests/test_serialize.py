@@ -192,8 +192,12 @@ def test_missing_subset_rejected():
 
 
 def test_unknown_provenance_rejected():
-    with pytest.raises(ValueError, match="provenance"):
-        record_to_index(order_one_record({"0": 1.0, "1": 2.0}, provenance="bogus"))
+    values = scatter(2, {1: 1.0, 2: 2.0})
+    for provenance in ("bogus", 7, None, "Direct"):
+        with pytest.raises(ValueError, match="unknown provenance"):
+            InteractionIndex(dim=2, order=1, baseline=0.5, values=values, provenance=provenance)
+        with pytest.raises(ValueError, match="unknown provenance"):
+            record_to_index(order_one_record({"0": 1.0, "1": 2.0}, provenance=provenance))
 
 
 def test_repeated_key_in_a_document_rejected():
@@ -400,26 +404,19 @@ def test_the_longest_float_texts_are_written_whole():
 
 @pytest.mark.parametrize("field", ["baseline", "point"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-def test_non_finite_baseline_or_point_is_rejected(field, bad, tmp_path):
+def test_non_finite_baseline_or_point_is_rejected(field, bad):
     values = scatter(2, {1: 1.0, 2: 2.0})
     good = InteractionIndex(dim=2, order=1, baseline=0.5, values=values, point=[1.0, 2.0])
     fields = {"baseline": bad} if field == "baseline" else {"baseline": 0.5, "point": [1.0, bad]}
-    index = InteractionIndex(dim=2, order=1, values=values, **fields)
-    with pytest.raises(ValueError):
-        json.dumps([oracle_record(index)], allow_nan=False)
-    with pytest.raises(ValueError, match=f"{field} is not finite"):
-        dumps_records([good, index])
-    path = tmp_path / "results.json"
-    with pytest.raises(ValueError, match=f"{field} is not finite"):
-        write_records([good, index], path)
-    assert list(tmp_path.iterdir()) == []  # no results file, no temporary file
-    if field == "baseline":  # a CSV holds no point
-        with pytest.raises(ValueError, match="baseline is not finite"):
-            dumps_csv([(0, good), (1, index)])
+    # no writer is ever handed such an index: it cannot be built
+    with pytest.raises(ValueError, match=field):
+        InteractionIndex(dim=2, order=1, values=values, **fields)
+    with pytest.raises(ValueError, match=field):
+        ShapleyGam(dim=2, order=2, values=values, **fields)
     # json.loads reads NaN and Infinity; a record holding one is rejected on load
     record = oracle_record(good)
     record[field] = bad if field == "baseline" else [1.0, bad]
-    with pytest.raises(ValueError, match=f"{field} is not finite"):
+    with pytest.raises(ValueError, match=field):
         loads_records(json.dumps([record]))
 
 
