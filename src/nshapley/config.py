@@ -27,11 +27,14 @@ every float is serialized in round-trip form.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import os
+import signal
+import tempfile
 from dataclasses import dataclass, fields, replace
-from typing import Iterator, Mapping, Sequence
+from typing import BinaryIO, Callable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -66,7 +69,14 @@ from .models import (
     SineFactor,
     StepFactor,
 )
-from .serialize import dumps_csv, dumps_records, emit_csv, emit_records, results_file
+from .serialize import (
+    WrittenPart,
+    dumps_csv,
+    dumps_records,
+    emit_csv,
+    emit_records,
+    results_file,
+)
 from .valuefn import (
     GamInducedValueFunction,
     InterventionalValueFunction,
@@ -471,10 +481,19 @@ def _explain_point(prepared: _Prepared, point_id: int) -> ShapleyGam:
         return shapley_gam(_value_table(prepared, point_id))
 
 
-def _indices_for_gam(gam: ShapleyGam, orders: list[int]) -> list[InteractionIndex]:
+def _indices_for_gam(
+    gam: ShapleyGam, orders: list[int], part: list[int] | None = None
+) -> list[InteractionIndex]:
+    """The indices of ``part``, a slice of ``orders`` (all of it by default).
+
+    Each takes the route the whole list takes, so the indices of a part
+    are those the whole list gives: every order shares the layer sweeps
+    of ``n_shapley_all_orders``, whose order-d record is "from-gam".
+    """
+    part = orders if part is None else part
     if orders == list(range(1, gam.dim + 1)):
-        return n_shapley_all_orders(gam)
-    return [gam if order == gam.dim else n_shapley_from_gam(gam, order) for order in orders]
+        return n_shapley_all_orders(gam, part)
+    return [gam if order == gam.dim else n_shapley_from_gam(gam, order) for order in part]
 
 
 def _indices_for_point(prepared: _Prepared, point_id: int) -> list[InteractionIndex]:
@@ -482,16 +501,116 @@ def _indices_for_point(prepared: _Prepared, point_id: int) -> list[InteractionIn
         return _indices_for_gam(shapley_gam(_value_table(prepared, point_id)), prepared.orders)
 
 
-def _labelled_indices(prepared: _Prepared) -> Iterator[tuple[int, InteractionIndex]]:
-    """(point, index) of every configured point and order, one point computed at a time.
+# A point's orders are split between this process and a forked child
+# only when its records cover at least this many coalitions over at
+# least two orders; below it a fork costs more than the child saves.
+# Each configured order 1..n covers sum(comb(d, k), k = 1..n) coalitions.
+_SPLIT_COALITIONS = 2**15
+# The parent computes and writes the lowest orders whose records hold
+# at most this share of the point's coalitions (at least one order);
+# the child computes and writes the rest. Measured on one d=16 point
+# with `order: all` (589,807 coalitions) on two cores: orders 1-10
+# (199,966 coalitions) took 0.27-0.28 s in the parent and 0.28-0.34 s
+# in the child; with orders 1-9 the child took 0.36-0.43 s, with orders
+# 1-11 the parent took 0.32-0.40 s.
+_HEAD_SHARE = 0.4
 
-    Each index is handed over and dropped here, so the writer holds the
-    only reference and it is freed once its record is written.
+
+def _head_orders(dim: int, orders: list[int]) -> int:
+    """How many of ``orders``, from the first, this process computes: all unless split."""
+    sizes = [sum(math.comb(dim, k) for k in range(1, order + 1)) for order in orders]
+    if len(orders) < 2 or sum(sizes) < _SPLIT_COALITIONS or not _two_cpus():
+        return len(orders)
+    bound = _HEAD_SHARE * sum(sizes)
+    return max(1, sum(covered <= bound for covered in itertools.accumulate(sizes)))
+
+
+def _two_cpus() -> bool:
+    """Whether ``os.fork`` exists and this process may run on two CPUs."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return hasattr(os, "fork") and affinity is not None and len(affinity(0)) >= 2
+
+
+@contextlib.contextmanager
+def _forked(write: Callable[[TextIO], None], flush: Callable[[], None]):
+    """Run ``write`` on an unlinked temporary file in a forked child.
+
+    Yields ``join``, which reaps the child and returns the file it
+    wrote, or None when fork failed or the child did not exit 0. The
+    child calls no model and no BLAS routine, and leaves by ``os._exit``
+    alone: no atexit handler, buffer flush or finalizer runs in it. A
+    child not reaped when the block ends (the parent raised) is killed
+    and reaped before the exception leaves.
     """
+    with tempfile.TemporaryFile() as part:
+        flush()
+        try:
+            pid = os.fork()
+        except OSError:
+            yield lambda: None
+            return
+        if pid == 0:
+            code = 1
+            try:
+                with open(part.fileno(), "w", encoding="utf-8", newline="\n", closefd=False) as fh:
+                    write(fh)
+                code = 0
+            finally:
+                os._exit(code)
+        reaped = False
+
+        def join() -> BinaryIO | None:
+            nonlocal reaped
+            status = os.waitpid(pid, 0)[1]
+            reaped = True
+            return part if os.waitstatus_to_exitcode(status) == 0 else None
+
+        try:
+            yield join
+        finally:
+            if not reaped:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _handed_over(pid: int, gam: ShapleyGam, orders: list[int], part: list[int]):
+    """(point, index) of the orders in ``part``, each dropped here once handed over."""
+    with _point(pid):
+        indices = _indices_for_gam(gam, orders, part)
+    while indices:
+        yield pid, indices.pop(0)
+
+
+def _labelled_items(prepared: _Prepared, write_part, flush=lambda: None):
+    """(point, item) of every configured point and order, one point computed at a time.
+
+    An item is an index; the writer holds the only reference and frees
+    it once its record is written. A point split by ``_head_orders``
+    has its upper orders computed in a forked child, which writes them
+    with ``write_part(labelled, fh)`` while this process computes and
+    hands over the lower ones; they then come as one ``WrittenPart``.
+    Should the child fail, this process computes them itself, so every
+    error is the one a serial run raises.
+    """
+    orders = prepared.orders
     for pid in prepared.point_ids:
-        indices = _indices_for_point(prepared, pid)
-        while indices:
-            yield pid, indices.pop(0)
+        with _point(pid):
+            gam = shapley_gam(_value_table(prepared, pid))
+        head = _head_orders(gam.dim, orders)
+        tail = orders[head:]
+        if not tail:
+            yield from _handed_over(pid, gam, orders, orders)
+            continue
+        with _forked(
+            lambda fh: write_part(_handed_over(pid, gam, orders, tail), fh), flush
+        ) as join:
+            yield from _handed_over(pid, gam, orders, orders[:head])
+            written = join()
+            if written is None:
+                yield from _handed_over(pid, gam, orders, tail)
+            else:
+                yield pid, WrittenPart(written)
 
 
 def run_explain(config: RunConfig, full_order_only: bool = False) -> str | None:
@@ -499,23 +618,30 @@ def run_explain(config: RunConfig, full_order_only: bool = False) -> str | None:
 
     Output is a JSON array of per-point, per-order records (or a flat
     CSV), deterministic given the configuration bytes. Points are
-    computed and written one at a time. With ``config.out`` the records
-    stream into that file, which is replaced only when the whole run
-    succeeds, and the result is None; otherwise the text is returned.
+    computed and written one at a time; the upper orders of a large
+    point are computed and written by a forked child (``_labelled_items``).
+    With ``config.out`` the records stream into that file, which is
+    replaced only when the whole run succeeds, and the result is None;
+    otherwise the text is returned.
     """
     prepared = _prepare(config)
     if full_order_only:
         prepared = replace(prepared, orders=[prepared.dataset.dim])
-    labelled = _labelled_indices(prepared)
-    if config.format == "csv":
-        emit, dumps, items = emit_csv, dumps_csv, labelled
-    else:
-        emit, dumps, items = emit_records, dumps_records, (index for _, index in labelled)
+    csv = config.format == "csv"
+
+    def items(labelled):  # what the format's writer takes
+        return labelled if csv else (index for _, index in labelled)
+
+    def write_part(labelled, fh):
+        (emit_csv if csv else emit_records)(items(labelled), fh, continued=True)
+
     with prepared.model:
         if not config.out:
-            return dumps(items)
+            with contextlib.closing(_labelled_items(prepared, write_part)) as labelled:
+                return (dumps_csv if csv else dumps_records)(items(labelled))
         with results_file(config.out) as fh:
-            emit(items, fh)
+            with contextlib.closing(_labelled_items(prepared, write_part, fh.flush)) as labelled:
+                (emit_csv if csv else emit_records)(items(labelled), fh)
     return None
 
 
@@ -565,8 +691,9 @@ def run_check(config: RunConfig) -> tuple[str, bool]:
     """Efficiency, dual-path and recovery suites on the configured run.
 
     Returns the report text and whether every check passed, each within
-    1e-9. The slow cross-validation routes run once per point, up to
-    dim 10, and the brute-force per-feature oracle up to dim 12.
+    1e-9 times max(1, |v(full)|) of its point. The slow cross-validation
+    routes run once per point, up to dim 10, and the brute-force
+    per-feature oracle up to dim 12.
     """
     prepared = _prepare(config)
     with prepared.model:
@@ -614,13 +741,13 @@ def _check_report(prepared: _Prepared) -> tuple[str, bool]:
                     max(np.abs(direct - combined.values).max(), np.abs(direct - unrolled).max())
                 )
                 record(
-                    f"dual-path point={pid} order={order}", gap <= tol, f"gap={gap:.3e}"
+                    f"dual-path point={pid} order={order}", gap <= tol * scale, f"gap={gap:.3e}"
                 )
         if d <= 12:
             oracle = classic_shapley_oracle(table)
             order_one = indices[1] if 1 in indices else n_shapley_from_gam(gam, 1)
             gap = float(np.abs(order_one.values[1 << np.arange(d)] - oracle).max())
-            record(f"order-1-oracle point={pid}", gap <= tol, f"gap={gap:.3e}")
+            record(f"order-1-oracle point={pid}", gap <= tol * scale, f"gap={gap:.3e}")
         for order, phi in indices.items():
             if order < d:
                 report = recovery_check(gam, phi)

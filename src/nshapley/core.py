@@ -214,9 +214,14 @@ def n_shapley_from_gam(gam: ShapleyGam, order: int) -> InteractionIndex:
     return _indices_from_gam(gam, [order])[0]
 
 
-def n_shapley_all_orders(gam: ShapleyGam) -> list[InteractionIndex]:
-    """Indices of every order 1..dim, sharing each layer's superset sweep."""
-    return _indices_from_gam(gam, range(1, gam.dim + 1))
+def n_shapley_all_orders(gam: ShapleyGam, orders=None) -> list[InteractionIndex]:
+    """Indices of every order 1..dim, sharing each layer's superset sweep.
+
+    ``orders``, ascending orders out of 1..dim, keeps only those. Each
+    comes out bit for bit as it does among all orders: its entries add
+    the same layers, in ascending c, whichever other orders are asked for.
+    """
+    return _indices_from_gam(gam, range(1, gam.dim + 1) if orders is None else orders)
 
 
 def reduce_order(phi: InteractionIndex, order: int) -> InteractionIndex:

@@ -30,6 +30,14 @@ joined once per chunk. ``emit_records`` writes exactly the bytes of
 record promises (finite numbers, a known provenance) is checked once,
 by the ``InteractionIndex`` constructor, which ``record_to_index`` also
 builds through.
+
+A writer called with ``continued=True`` writes the records of the
+middle of a document: each after the separator that follows a record,
+with no opening or closing bracket and no CSV header. What it wrote,
+handed to a writer as a ``WrittenPart`` item, is copied into that
+writer's document as it is, so records formatted elsewhere (by another
+process) continue the records before them.
+
 ``results_file`` gives the handle through which a results file is
 written whole or not at all.
 """
@@ -37,13 +45,15 @@ written whole or not at all.
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
 import json
 import math
 import os
 import shutil
 import stat
-from typing import Iterable, Iterator, TextIO
+from dataclasses import dataclass
+from typing import BinaryIO, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -61,6 +71,7 @@ __all__ = [
     "emit_csv",
     "dumps_csv",
     "results_file",
+    "WrittenPart",
 ]
 
 _RECORD_KEYS = {"dim", "order", "baseline", "point", "provenance", "values"}
@@ -165,6 +176,48 @@ def _write_entries(fh: TextIO, chunks, lead: bytes, mid: bytes, sep: bytes) -> N
         fh.write(sep.join(lines.tolist()).decode("ascii"))
 
 
+# Bytes a read takes when a written part cannot be sent file to file.
+_SPLICE_READ = 1 << 20
+
+
+@dataclass(frozen=True)
+class WrittenPart:
+    """Records a writer called with ``continued=True`` wrote into ``file``.
+
+    ``file`` is an open binary file; its bytes from offset 0 are copied
+    into the document where the part stands among the items, after at
+    least one record. Into a handle on a file they go by ``os.sendfile``,
+    elsewhere in reads of at most 1 MiB, never as one string.
+    """
+
+    file: BinaryIO
+
+
+def _splice(part: WrittenPart, fh: TextIO) -> None:
+    source = part.file.fileno()
+    size = os.fstat(source).st_size
+    try:
+        target = fh.fileno()
+    except (AttributeError, io.UnsupportedOperation):  # a StringIO
+        target = None
+    if target is not None:
+        fh.flush()
+        offset = 0
+        try:
+            while offset < size:
+                sent = os.sendfile(target, source, offset, size - offset)
+                if not sent:
+                    raise OSError(errno.EIO, "a written part ended before its size")
+                offset += sent
+            return
+        except OSError as exc:  # a target sendfile cannot write to takes reads
+            if offset or exc.errno not in (errno.EINVAL, errno.ENOSYS):
+                raise
+    part.file.seek(0)
+    while chunk := part.file.read(_SPLICE_READ):
+        fh.write(chunk.decode("ascii"))
+
+
 def _emit_record(index: InteractionIndex, entries: _Entries, fh: TextIO) -> None:
     if index.point is None:
         point = "null"
@@ -180,23 +233,50 @@ def _emit_record(index: InteractionIndex, entries: _Entries, fh: TextIO) -> None
     fh.write("\n    }\n  }")
 
 
-def emit_records(indices: Iterable[InteractionIndex], fh: TextIO) -> None:
-    """Write the JSON array of ``indices``' records to ``fh``, one record at a time."""
+def emit_records(
+    indices: Iterable[InteractionIndex | WrittenPart], fh: TextIO, continued: bool = False
+) -> None:
+    """Write the JSON array of ``indices``' records to ``fh``, one record at a time.
+
+    A ``WrittenPart`` among them is copied in as it is. With
+    ``continued``, write only the records, each after ``,\\n``: they
+    continue an array whose first record is written elsewhere.
+    """
     entries = _Entries()
-    separator = "[\n"
+    separator = ",\n" if continued else "[\n"
     for index in indices:
+        if isinstance(index, WrittenPart):
+            _splice(index, fh)
+            continue
         fh.write(separator)
         _emit_record(index, entries, fh)
         separator = ",\n"
-    fh.write("[]\n" if separator == "[\n" else "\n]\n")  # json.dumps writes no records as []
+    if not continued:
+        fh.write("[]\n" if separator == "[\n" else "\n]\n")  # json.dumps writes no records as []
+
+
+def _json_integer(value, where: str) -> int:
+    if type(value) is not int:  # not a bool, not a float such as 2.0
+        raise ValueError(f"record {where} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _json_numbers(values: list, where: str) -> list:
+    """``values`` when each is a JSON number: an int or float, not a bool or a string."""
+    kinds = set(map(type, values))
+    wrong = {kind for kind in kinds if kind is bool or not issubclass(kind, (int, float))}
+    if wrong:
+        bad = next(v for v in values if type(v) in wrong)
+        raise ValueError(f"record {where} must hold JSON numbers, got {bad!r}")
+    return values
 
 
 def record_to_index(record: dict) -> InteractionIndex:
     unknown = set(record) - _RECORD_KEYS
     if unknown:
         raise ValueError(f"unknown record keys: {sorted(unknown)}")
-    dim = int(record["dim"])
-    order = int(record["order"])
+    dim = _json_integer(record["dim"], "dim")
+    order = _json_integer(record["order"], "order")
     if not 1 <= order <= dim <= MAX_DIM:
         raise ValueError(
             f"record needs 1 <= order <= dim <= {MAX_DIM}, got order={order}, dim={dim}"
@@ -217,14 +297,17 @@ def record_to_index(record: dict) -> InteractionIndex:
             f"1..{order} exactly once"
         )
     values = np.zeros(1 << dim)
-    values[masks] = [float(val) for val in record["values"].values()]
+    values[masks] = _json_numbers(list(record["values"].values()), "values")
+    point = record.get("point")
+    if point is not None and not isinstance(point, list):
+        raise ValueError(f"record point must be a list of JSON numbers or null, got {point!r}")
     cls = ShapleyGam if order == dim else InteractionIndex
     return cls(
         dim=dim,
         order=order,
-        baseline=record["baseline"],
+        baseline=_json_numbers([record["baseline"]], "baseline")[0],
         values=values,
-        point=record.get("point"),
+        point=point if point is None else _json_numbers(point, "point"),
         provenance=record.get("provenance", PROVENANCE_DIRECT),
     )
 
@@ -260,15 +343,24 @@ def read_records(path) -> list[InteractionIndex]:
         return loads_records(fh.read())
 
 
-def emit_csv(labelled: Iterable[tuple[int, InteractionIndex]], fh: TextIO) -> None:
+def emit_csv(
+    labelled: Iterable[tuple[int, InteractionIndex | WrittenPart]],
+    fh: TextIO,
+    continued: bool = False,
+) -> None:
     """Write ``(point, index)`` pairs as the flat ``point,order,set,value`` table.
 
     Each index gives one line for its baseline (set ``""``) and one per
-    covered coalition.
+    covered coalition; a ``WrittenPart`` is copied in as it is. With
+    ``continued`` the header line is left out.
     """
     entries = _Entries()
-    fh.write("point,order,set,value\n")
+    if not continued:
+        fh.write("point,order,set,value\n")
     for point_id, index in labelled:
+        if isinstance(index, WrittenPart):
+            _splice(index, fh)
+            continue
         head = f'{point_id},{index.order},"'
         fh.write(f'{head}",{index.baseline!r}\n')
         _write_entries(fh, entries.chunks(index), head.encode("ascii"), b'",', b"\n")

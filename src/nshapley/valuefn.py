@@ -292,8 +292,11 @@ class ObservationalExactMatchValueFunction(ValueFunction):
         size = 1 << self.dim
         n = self.data.shape[0]
         eq = self.data == x
-        # bit j of agree[r] is set iff row r equals x in column j
-        agree = eq @ (1 << np.arange(self.dim, dtype=np.int64))
+        # bit j of agree[r] is set iff row r equals x in column j; one column
+        # at a time, never an int64 copy of the whole equality matrix
+        agree = np.zeros(n, dtype=np.int64)
+        for j in range(self.dim):
+            agree[eq[:, j]] |= 1 << j
         # closure[S]: AND of the agreement masks that contain S, -1 if none does;
         # count[S]: how many rows match S, 0 exactly where closure[S] is -1
         closure = np.full(size, -1, dtype=np.int64)

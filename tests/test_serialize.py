@@ -434,3 +434,37 @@ def test_failed_write_keeps_the_previous_file(tmp_path):
         write_records(failing(), path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["results.json"]
+
+
+WRONGLY_TYPED = {
+    "dim-float": ("dim", {"dim": 2.0}),
+    "dim-fraction": ("dim", {"dim": 2.9}),
+    "dim-bool": ("dim", {"dim": True}),
+    "order-bool": ("order", {"order": True}),
+    "order-float": ("order", {"order": 1.0}),
+    "baseline-string": ("baseline", {"baseline": "0.5"}),
+    "baseline-bool": ("baseline", {"baseline": False}),
+    "baseline-null": ("baseline", {"baseline": None}),
+    "value-string": ("values", {"values": {"0": "1.5", "1": 2.0}}),
+    "value-bool": ("values", {"values": {"0": 1.5, "1": False}}),
+    "point-string": ("point", {"point": [1.0, "2"]}),
+    "point-bool": ("point", {"point": [True, 2.0]}),
+    "point-not-a-list": ("point", {"point": "1,2"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONGLY_TYPED))
+def test_a_value_json_types_as_something_else_is_rejected(case):
+    field, change = WRONGLY_TYPED[case]
+    record = order_one_record({"0": 1.5, "1": 2.0}, point=[1.0, 2.0])
+    assert record_to_index(record).value(0b01) == 1.5  # the record is valid before the change
+    with pytest.raises(ValueError, match=field):
+        record_to_index({**record, **change})
+    with pytest.raises(ValueError, match=field):
+        loads_records(json.dumps([{**record, **change}]))
+
+
+def test_json_integers_and_floats_both_load_as_numbers():
+    index = record_to_index(order_one_record({"0": 1, "1": 2.5}, baseline=-3, point=[0, 1.5]))
+    assert index.values[1:3].tolist() == [1.0, 2.5]
+    assert index.baseline == -3.0 and index.point.tolist() == [0.0, 1.5]

@@ -701,3 +701,25 @@ def test_observational_table_memory_at_d12_on_50000_rows():
     assert peak < 16 * 2**20
     masks = [0, 1, 0b101, (1 << dim) - 1, *rng.integers(0, 1 << dim, size=8).tolist()]
     assert same_bits(table[masks], oracle_table(model, data, data[0], masks))
+
+
+def test_observational_agreement_masks_take_no_int64_copy_of_the_equality_matrix():
+    # At d=12 on 50,000 binary rows an int64 copy of the (n, d) equality
+    # matrix alone is 4.6 MiB; built one column at a time the table peaks
+    # near 3.8 MiB.
+    import tracemalloc
+
+    dim = 12
+    rng = np.random.default_rng(471)
+    model = SignedWavy(dim, rng)
+    data = rng.integers(0, 2, size=(50_000, dim)).astype(np.float64)
+    vf = ObservationalExactMatchValueFunction(model, data)
+    tracemalloc.start()
+    try:
+        table = vf.batch_evaluate(data[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+    masks = [0, 3, (1 << dim) - 1, *rng.integers(0, 1 << dim, size=8).tolist()]
+    assert same_bits(table[masks], oracle_table(model, data, data[0], masks))
