@@ -19,7 +19,14 @@ from . import _kernels
 from .core import InteractionIndex, ShapleyGam
 from .lattice import frozen
 
-__all__ = ["DegreeReport", "interaction_degree", "DependenceSeries", "partial_dependence"]
+__all__ = [
+    "DegreeReport",
+    "OrderMasses",
+    "order_masses",
+    "interaction_degree",
+    "DependenceSeries",
+    "partial_dependence",
+]
 
 
 @dataclass(frozen=True)
@@ -53,21 +60,39 @@ class DegreeReport:
             raise ValueError("a degree report holds finite numbers only")
 
 
-def _order_masses(values: np.ndarray, pc: np.ndarray, orders: np.ndarray):
-    """The sums of |f_S| by order as ``(masses, e)``, the true sums being masses * 2**e.
+@dataclass(frozen=True)
+class OrderMasses:
+    """One point's sums of |f_S| by order, the true sums being ``masses * 2**exponent``.
 
-    ``e`` is 0 unless the order-weighted total would overflow. The
-    weights are then scaled by 2**-e, with e = d + the bit length of d,
-    which keeps that total of 2**d entries below the largest float. The
-    degree and the shares are ratios, so the scale does not change them.
+    ``masses`` holds d+1 float64 sums, the one at k over the coalitions
+    of k members. ``exponent`` is 0 unless the order-weighted total
+    would overflow: the weights are then scaled by 2**-exponent, with
+    exponent = d + the bit length of d, which keeps that total of 2**d
+    entries below the largest float. The degree and the shares are
+    ratios, so the scale does not change them.
     """
+
+    masses: np.ndarray
+    exponent: int
+
+    @property
+    def dim(self) -> int:
+        return self.masses.size - 1
+
+
+def _order_masses(values: np.ndarray, pc: np.ndarray, orders: np.ndarray) -> OrderMasses:
     weights = np.abs(values)
     masses = np.bincount(pc, weights=weights, minlength=orders.size)
     with np.errstate(over="ignore"):
         if np.isfinite((orders * masses).sum()):
-            return masses, 0
+            return OrderMasses(masses, 0)
     e = orders.size - 1 + (orders.size - 1).bit_length()
-    return np.bincount(pc, weights=np.ldexp(weights, -e), minlength=orders.size), e
+    return OrderMasses(np.bincount(pc, weights=np.ldexp(weights, -e), minlength=orders.size), e)
+
+
+def order_masses(gam: ShapleyGam) -> OrderMasses:
+    """The masses ``interaction_degree`` folds for ``gam``'s point."""
+    return _order_masses(gam.values, _kernels.popcount_table(gam.dim), np.arange(gam.dim + 1))
 
 
 def _pool(a: np.ndarray, ea: int, b: np.ndarray, eb: int, orders: np.ndarray):
@@ -85,12 +110,15 @@ def _pool(a: np.ndarray, ea: int, b: np.ndarray, eb: int, orders: np.ndarray):
     return pooled, e
 
 
-def interaction_degree(gams: Iterable[ShapleyGam]) -> DegreeReport:
+def interaction_degree(gams: Iterable[ShapleyGam | OrderMasses]) -> DegreeReport:
     """Aggregate the degree of variable interaction over explained points.
 
     ``gams`` may be any iterable, a generator included: each
     decomposition is folded into d+1 masses by order as it arrives and
-    is not kept, so memory does not grow with the number of points.
+    is not kept, so memory does not grow with the number of points. An
+    item may also be a point's ``OrderMasses`` already taken (by
+    ``order_masses``, in another process, say); it is folded in its
+    place, so the report is the one of the decompositions themselves.
     Masses whose sums would overflow are summed at an exact power-of-two
     scale, so a finite decomposition always has a finite degree.
     """
@@ -104,8 +132,11 @@ def interaction_degree(gams: Iterable[ShapleyGam]) -> DegreeReport:
             pooled_by_order, pooled_e = np.zeros(dim + 1), 0
         elif gam.dim != dim:
             raise ValueError("all decompositions must share one dimension")
-        mass_by_order, e = _order_masses(gam.values, pc, orders)
-        pooled_by_order, pooled_e = _pool(pooled_by_order, pooled_e, mass_by_order, e, orders)
+        masses = gam if isinstance(gam, OrderMasses) else _order_masses(gam.values, pc, orders)
+        mass_by_order = masses.masses
+        pooled_by_order, pooled_e = _pool(
+            pooled_by_order, pooled_e, mass_by_order, masses.exponent, orders
+        )
         total = mass_by_order.sum()
         if total == 0.0:
             per_point.append(0.0)

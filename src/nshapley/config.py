@@ -27,6 +27,7 @@ every float is serialized in round-trip form.
 from __future__ import annotations
 
 import contextlib
+import io
 import itertools
 import json
 import math
@@ -34,12 +35,18 @@ import os
 import signal
 import tempfile
 from dataclasses import dataclass, fields, replace
-from typing import BinaryIO, Callable, Iterator, Mapping, Sequence, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import core
-from .analysis import DependenceSeries, interaction_degree, partial_dependence
+from .analysis import (
+    DependenceSeries,
+    OrderMasses,
+    interaction_degree,
+    order_masses,
+    partial_dependence,
+)
 from .core import (
     InteractionIndex,
     ShapleyGam,
@@ -514,6 +521,21 @@ _SPLIT_COALITIONS = 2**15
 # in the child; with orders 1-9 the child took 0.36-0.43 s, with orders
 # 1-11 the parent took 0.32-0.40 s.
 _HEAD_SHARE = 0.4
+# A run's points are split between this process and a forked child only
+# when the child's value tables ask for at least this many rows: 2**d
+# per point, times n_bg background rows under the interventional value
+# function; below it a fork costs more than the child saves. Measured on
+# a 2-core x86_64 host: fork, os._exit and waitpid of a 46-48 MB process
+# take 1.3-1.9 ms, but copy-on-write faults in both processes bring a
+# split run's overhead to 4-5 ms (degree through the gam value function,
+# d=14, 2 points: 3.2 ms serial, 8.6 ms split). At 2**14 rows the
+# cheapest model that is called row by row breaks even (checkerboard,
+# d=10, 16 background rows, 2 points: degree 8.9 ms serial, 9.2 ms
+# split; check 47.6 and 21.8 ms), and a knn model gains most (the same
+# shape on 2,000 training rows: 5.1 s serial, 2.6-3.4 s split). Additive
+# models evaluate fewer rows than they ask for, and lose up to 4 ms there
+# (degree, d=10, 16 background rows: 3.3 and 7.1 ms).
+_SPLIT_POINT_ROWS = 2**14
 
 
 def _head_orders(dim: int, orders: list[int]) -> int:
@@ -525,53 +547,96 @@ def _head_orders(dim: int, orders: list[int]) -> int:
     return max(1, sum(covered <= bound for covered in itertools.accumulate(sizes)))
 
 
+def _head_points(prepared: _Prepared) -> int:
+    """How many of the points, from the first, this process computes: all unless split.
+
+    A split leaves the last half of the points, rounded down, to a
+    forked child. Only a model that declares itself ``fork_safe`` is
+    called from a child.
+    """
+    count = len(prepared.point_ids)
+    tail = count // 2
+    value_fn = prepared.value_fn
+    rows = value_fn.background.shape[0] if isinstance(value_fn, InterventionalValueFunction) else 1
+    if (
+        not tail
+        or not prepared.model.fork_safe
+        or (tail * rows) << prepared.dataset.dim < _SPLIT_POINT_ROWS
+        or not _two_cpus()
+    ):
+        return count
+    return count - tail
+
+
 def _two_cpus() -> bool:
     """Whether ``os.fork`` exists and this process may run on two CPUs."""
     affinity = getattr(os, "sched_getaffinity", None)
     return hasattr(os, "fork") and affinity is not None and len(affinity(0)) >= 2
 
 
-@contextlib.contextmanager
-def _forked(write: Callable[[TextIO], None], flush: Callable[[], None]):
-    """Run ``write`` on an unlinked temporary file in a forked child.
+def _forked(
+    head: Iterable,
+    tail: Iterable,
+    write: Callable[[Iterable, BinaryIO], None],
+    read: Callable[[BinaryIO], Iterable],
+    flush: Callable[[], None],
+):
+    """The items of ``head``, then those of ``tail``, the latter computed in a forked child.
 
-    Yields ``join``, which reaps the child and returns the file it
-    wrote, or None when fork failed or the child did not exit 0. The
-    child calls no model and no BLAS routine, and leaves by ``os._exit``
-    alone: no atexit handler, buffer flush or finalizer runs in it. A
-    child not reaped when the block ends (the parent raised) is killed
-    and reaped before the exception leaves.
+    After ``flush`` the process forks once. The child runs ``write(tail,
+    fh)`` on an unlinked binary temporary file and leaves by ``os._exit``
+    alone: no atexit handler, buffer flush or finalizer runs in it. This
+    process yields from ``head``, reaps the child and yields from
+    ``read(file)``. When fork fails or the child does not exit 0, it
+    yields from ``tail`` itself, so every error is the one a serial run
+    raises; ``tail`` must therefore compute nothing before its first
+    item is asked for. A child not reaped when the generator raises or
+    is closed (this process raised) is killed and reaped first.
     """
     with tempfile.TemporaryFile() as part:
         flush()
         try:
             pid = os.fork()
         except OSError:
-            yield lambda: None
+            yield from head
+            yield from tail
             return
         if pid == 0:
             code = 1
             try:
-                with open(part.fileno(), "w", encoding="utf-8", newline="\n", closefd=False) as fh:
-                    write(fh)
+                with open(part.fileno(), "wb", closefd=False) as fh:
+                    write(tail, fh)
                 code = 0
             finally:
                 os._exit(code)
-        reaped = False
-
-        def join() -> BinaryIO | None:
-            nonlocal reaped
-            status = os.waitpid(pid, 0)[1]
-            reaped = True
-            return part if os.waitstatus_to_exitcode(status) == 0 else None
-
         try:
-            yield join
+            yield from head
+            status = os.waitpid(pid, 0)[1]
+            pid = None
         finally:
-            if not reaped:
+            if pid is not None:
                 with contextlib.suppress(ProcessLookupError):
                     os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+        yield from read(part) if os.waitstatus_to_exitcode(status) == 0 else tail
+
+
+def _by_points(point_ids: list[int], head: int, items, write, read, flush=lambda: None):
+    """``items(pid)`` of every point in order; past ``head`` points, through a forked child.
+
+    With ``head`` below the number of points the run forks once, before
+    its first point (``_forked``): the child computes the items of the
+    last points and writes them with ``write``, and ``read`` hands them
+    back here after this process's own.
+    """
+    def each(pids):
+        for pid in pids:
+            yield from items(pid)
+
+    if head == len(point_ids):
+        yield from each(point_ids)
+    else:
+        yield from _forked(each(point_ids[:head]), each(point_ids[head:]), write, read, flush)
 
 
 def _handed_over(pid: int, gam: ShapleyGam, orders: list[int], part: list[int]):
@@ -586,31 +651,38 @@ def _labelled_items(prepared: _Prepared, write_part, flush=lambda: None):
     """(point, item) of every configured point and order, one point computed at a time.
 
     An item is an index; the writer holds the only reference and frees
-    it once its record is written. A point split by ``_head_orders``
-    has its upper orders computed in a forked child, which writes them
-    with ``write_part(labelled, fh)`` while this process computes and
-    hands over the lower ones; they then come as one ``WrittenPart``.
-    Should the child fail, this process computes them itself, so every
-    error is the one a serial run raises.
+    it once its record is written. Work that a forked child computes
+    comes as one ``WrittenPart`` holding the records the child wrote
+    with ``write_part(labelled, fh)``. A run split by ``_head_points``
+    forks once: the child computes and writes the last points while
+    this process computes and hands over the first ones. Otherwise a
+    point split by ``_head_orders`` has its upper orders computed in a
+    forked child while this process hands over the lower ones; forks
+    are never nested. Should a child fail, this process computes its
+    part itself, so every error is the one a serial run raises.
     """
     orders = prepared.orders
-    for pid in prepared.point_ids:
+    point_ids = prepared.point_ids
+    head = _head_points(prepared)
+
+    def write(labelled, fh):
+        with io.TextIOWrapper(fh, encoding="utf-8", newline="\n") as text:
+            write_part(labelled, text)
+
+    def spliced(pid):
+        return lambda part: [(pid, WrittenPart(part))]
+
+    def point(pid):
         with _point(pid):
             gam = shapley_gam(_value_table(prepared, pid))
-        head = _head_orders(gam.dim, orders)
-        tail = orders[head:]
-        if not tail:
-            yield from _handed_over(pid, gam, orders, orders)
-            continue
-        with _forked(
-            lambda fh: write_part(_handed_over(pid, gam, orders, tail), fh), flush
-        ) as join:
-            yield from _handed_over(pid, gam, orders, orders[:head])
-            written = join()
-            if written is None:
-                yield from _handed_over(pid, gam, orders, tail)
-            else:
-                yield pid, WrittenPart(written)
+        split = len(orders) if head < len(point_ids) else _head_orders(gam.dim, orders)
+        lower = _handed_over(pid, gam, orders, orders[:split])
+        if split == len(orders):
+            return lower
+        upper = _handed_over(pid, gam, orders, orders[split:])
+        return _forked(lower, upper, write, spliced(pid), flush)
+
+    return _by_points(point_ids, head, point, write, spliced(point_ids[-1]), flush)
 
 
 def run_explain(config: RunConfig, full_order_only: bool = False) -> str | None:
@@ -618,8 +690,10 @@ def run_explain(config: RunConfig, full_order_only: bool = False) -> str | None:
 
     Output is a JSON array of per-point, per-order records (or a flat
     CSV), deterministic given the configuration bytes. Points are
-    computed and written one at a time; the upper orders of a large
-    point are computed and written by a forked child (``_labelled_items``).
+    computed and written one at a time. On two CPUs a forked child
+    computes and writes either the last half of the points of a run
+    whose model is ``fork_safe``, or the upper orders of a large point
+    (``_labelled_items``); the output is the serial run's byte for byte.
     With ``config.out`` the records stream into that file, which is
     replaced only when the whole run succeeds, and the result is None;
     otherwise the text is returned.
@@ -651,7 +725,13 @@ def run_gam(config: RunConfig) -> str | None:
 
 
 def run_degree(config: RunConfig) -> str:
-    """Interaction-degree report over the selected points."""
+    """Interaction-degree report over the selected points.
+
+    On two CPUs a run whose model is ``fork_safe`` may leave the last
+    half of its points to a forked child (``_head_points``), which hands
+    back each point's ``OrderMasses`` bit for bit; they are folded in
+    point order, so the report is the serial run's.
+    """
     prepared = _prepare(config)
     with prepared.model:
         if not config.out:
@@ -663,7 +743,28 @@ def run_degree(config: RunConfig) -> str:
 
 
 def _degree_text(config: RunConfig, prepared: _Prepared) -> str:
-    report = interaction_degree(_explain_point(prepared, pid) for pid in prepared.point_ids)
+    dim = prepared.dataset.dim
+    record = np.dtype([("masses", np.float64, (dim + 1,)), ("exponent", np.int64)])
+
+    def write(gams, fh):  # each of the child's points as its exact masses
+        for gam in gams:
+            masses = order_masses(gam)
+            fh.write(np.array((masses.masses, masses.exponent), dtype=record).tobytes())
+
+    def read(part):
+        part.seek(0)
+        masses = np.frombuffer(part.read(), dtype=record)
+        return [OrderMasses(m["masses"], int(m["exponent"])) for m in masses]
+
+    points = _by_points(
+        prepared.point_ids,
+        _head_points(prepared),
+        lambda pid: [_explain_point(prepared, pid)],
+        write,
+        read,
+    )
+    with contextlib.closing(points):
+        report = interaction_degree(points)
     if config.format == "csv":
         lines = ["point,degree"]
         lines.extend(
@@ -693,7 +794,10 @@ def run_check(config: RunConfig) -> tuple[str, bool]:
     Returns the report text and whether every check passed, each within
     1e-9 times max(1, |v(full)|) of its point. The slow cross-validation
     routes run once per point, up to dim 10, and the brute-force
-    per-feature oracle up to dim 12.
+    per-feature oracle up to dim 12. On two CPUs a run whose model is
+    ``fork_safe`` may leave the last half of its points to a forked
+    child (``_head_points``), which hands back their report lines and
+    whether they passed; the report is the serial run's.
     """
     prepared = _prepare(config)
     with prepared.model:
@@ -708,15 +812,16 @@ def run_check(config: RunConfig) -> tuple[str, bool]:
 def _check_report(prepared: _Prepared) -> tuple[str, bool]:
     d = prepared.dataset.dim
     tol = 1e-9
-    lines = []
-    ok = True
 
-    def record(name: str, passed: bool, detail: str):
-        nonlocal ok
-        ok = ok and passed
-        lines.append(f"{'PASS' if passed else 'FAIL'}  {name}  {detail}")
+    def check_point(pid: int, table: ValueTable) -> tuple[list[str], bool]:
+        lines = []
+        ok = True
 
-    def check_point(pid: int, table: ValueTable):
+        def record(name: str, passed: bool, detail: str):
+            nonlocal ok
+            ok = ok and passed
+            lines.append(f"{'PASS' if passed else 'FAIL'}  {name}  {detail}")
+
         gam = shapley_gam(table)
         v_gap = float(table.values[-1] - table.values[0])
         scale = max(1.0, abs(float(table.values[-1])))
@@ -756,10 +861,32 @@ def _check_report(prepared: _Prepared) -> tuple[str, bool]:
                     f"max-above-order={report.max_component_above_order:.3e} "
                     f"attribution-gap={report.max_attribution_gap:.3e}"
                 )
+        return lines, ok
 
-    for pid in prepared.point_ids:
+    def point(pid: int) -> list[tuple[list[str], bool]]:
         with _point(pid):
-            check_point(pid, _value_table(prepared, pid))
+            return [check_point(pid, _value_table(prepared, pid))]
+
+    def joined(results) -> tuple[list[str], bool]:
+        lines, ok = [], True
+        for point_lines, point_ok in results:
+            lines.extend(point_lines)
+            ok = ok and point_ok
+        return lines, ok
+
+    def write(results, fh):  # b"1" or b"0" for whether all passed, then the lines
+        lines, ok = joined(results)
+        fh.write(b"1" if ok else b"0")
+        fh.write("\n".join(lines).encode("utf-8"))
+
+    def read(part):
+        part.seek(0)
+        data = part.read()
+        return [(data[1:].decode("utf-8").split("\n"), data[:1] == b"1")]
+
+    points = _by_points(prepared.point_ids, _head_points(prepared), point, write, read)
+    with contextlib.closing(points):
+        lines, ok = joined(points)
     return "\n".join(lines) + "\n", ok
 
 

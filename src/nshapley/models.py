@@ -63,9 +63,17 @@ def as_points(points, dim: int) -> np.ndarray:
 
 
 class PredictFn(abc.ABC):
-    """Deterministic real-valued function of dim features."""
+    """Deterministic real-valued function of dim features.
+
+    ``fork_safe`` says whether a forked child may call ``predict_batch``
+    while this process goes on calling it too. It holds for a model
+    that computes in this process from state it never changes; a model
+    that talks to another process over pipes, or any wrapper that
+    delegates to another model, keeps the default, False.
+    """
 
     dim: int
+    fork_safe = False
 
     @abc.abstractmethod
     def predict_batch(self, points) -> np.ndarray:
@@ -234,7 +242,10 @@ class ComponentMap(PredictFn):
 
     Multiple components on the same subset simply add; the empty map is
     identically 0. The map's components are fixed once it is built.
+    A forked child's lookup clamps are counted in that child only.
     """
+
+    fork_safe = True
 
     def __init__(self, dim: int, components):
         if not 0 <= dim <= MAX_DIM:
@@ -303,6 +314,8 @@ class CheckerboardModel(PredictFn):
     on the full active set.
     """
 
+    fork_safe = True
+
     dim: int
     granularity: int = 2
     active: tuple[int, ...] | None = None
@@ -347,6 +360,8 @@ class KnnModel(PredictFn):
     from the training set, so each block's (queries, n_train, dim)
     differences take about 8 MiB, however large the batch.
     """
+
+    fork_safe = True
 
     def __init__(self, train, labels, k: int):
         self.train = np.array(train, dtype=np.float64)

@@ -261,14 +261,20 @@ def _json_integer(value, where: str) -> int:
     return value
 
 
-def _json_numbers(values: list, where: str) -> list:
-    """``values`` when each is a JSON number: an int or float, not a bool or a string."""
+def _json_numbers(values: list, where: str) -> np.ndarray:
+    """``values`` as float64 when each is a JSON number: an int or float, not a bool or a string.
+
+    An integer too large for a float is rejected like a wrong type.
+    """
     kinds = set(map(type, values))
     wrong = {kind for kind in kinds if kind is bool or not issubclass(kind, (int, float))}
     if wrong:
         bad = next(v for v in values if type(v) in wrong)
         raise ValueError(f"record {where} must hold JSON numbers, got {bad!r}")
-    return values
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(f"record {where} holds an integer too large for a float") from None
 
 
 def record_to_index(record: dict) -> InteractionIndex:

@@ -5,7 +5,12 @@ import pytest
 
 from _exact_oracle import cell_center_grid, entries, scatter
 from nshapley import _kernels
-from nshapley.analysis import DegreeReport, interaction_degree, partial_dependence
+from nshapley.analysis import (
+    DegreeReport,
+    interaction_degree,
+    order_masses,
+    partial_dependence,
+)
 from nshapley.core import ShapleyGam, n_shapley_from_gam, shapley_gam
 from nshapley.lattice import SubsetTable
 from nshapley.models import (
@@ -158,6 +163,26 @@ def test_masses_that_overflow_give_the_degree_of_the_scaled_down_masses(case):
     assert dict(report.quantiles) == dict(expected.quantiles)
     if case == "pooled":
         assert report.pooled_degree == 4 / 3
+
+
+def test_a_point_folded_as_its_order_masses_gives_the_same_report():
+    rng = np.random.default_rng(11)
+    dim = 5
+    gams = [gam_from_components(dim, dict(enumerate(rng.normal(size=1 << dim)))) for _ in range(4)]
+    gams[2] = _scaled(gams[2], 1020)  # its masses carry an exponent
+    assert order_masses(gams[2]).exponent > 0 and order_masses(gams[1]).exponent == 0
+    expected = interaction_degree(gams)
+    for mixed in ([*gams[:2], *map(order_masses, gams[2:])], list(map(order_masses, gams))):
+        report = interaction_degree(mixed)
+        assert report.per_point.tobytes() == expected.per_point.tobytes()
+        assert report.order_mass_share.tobytes() == expected.order_mass_share.tobytes()
+        assert (report.mean_degree, report.pooled_degree) == (
+            expected.mean_degree,
+            expected.pooled_degree,
+        )
+        assert dict(report.quantiles) == dict(expected.quantiles)
+    with pytest.raises(ValueError, match="one dimension"):
+        interaction_degree([gams[0], order_masses(gam_from_components(dim + 1, {1: 1.0}))])
 
 
 @pytest.mark.parametrize("field", ["per_point", "mean_degree", "pooled_degree", "quantiles", "shares"])

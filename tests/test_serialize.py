@@ -468,3 +468,23 @@ def test_json_integers_and_floats_both_load_as_numbers():
     index = record_to_index(order_one_record({"0": 1, "1": 2.5}, baseline=-3, point=[0, 1.5]))
     assert index.values[1:3].tolist() == [1.0, 2.5]
     assert index.baseline == -3.0 and index.point.tolist() == [0.0, 1.5]
+
+
+
+@pytest.mark.parametrize("field", ["values", "baseline", "point"])
+def test_an_integer_too_large_for_a_float_is_a_value_error(field):
+    record = order_one_record({"0": 1.5, "1": 2}, point=[0.5, 1])
+    for digits, fits in ((300, True), (400, False)):  # 1 followed by that many zeros
+        huge = 10**digits
+        if field == "values":
+            changed = {"values": {"0": 1.5, "1": huge}}
+        else:
+            changed = {field: -huge if field == "baseline" else [0.5, huge]}
+        text = json.dumps([{**record, **changed}])
+        if fits:
+            index = loads_records(text)[0]
+            loaded = {"values": index.values[2], "baseline": index.baseline, "point": index.point[1]}
+            assert loaded[field] == (-1e300 if field == "baseline" else 1e300)
+        else:
+            with pytest.raises(ValueError, match=f"record {field} holds an integer too large"):
+                loads_records(text)
